@@ -4,14 +4,28 @@
 // attacker as part of malware propagation campaigns". The epidemic runs
 // over the real Telnet engines (brute force with Table 12 credentials) and
 // prints the infection growth curve.
-#include "bench_common.h"
+#include <algorithm>
+#include <cstdio>
+#include <string>
 
 #include "attackers/malware.h"
 #include "attackers/propagation.h"
+#include "core/scenario.h"
 
 int main(int argc, char** argv) {
-  auto config = ofh::bench::parse_config(argc, argv);
-  ofh::bench::print_banner(config, "Extension (Mirai propagation dynamics)");
+  if (argc != 2) {
+    std::fprintf(stderr, "usage: ext_mirai_propagation <study.ofh>\n"
+                         "  e.g. experiments/paper.ofh\n");
+    return 2;
+  }
+  ofh::core::ScenarioError error;
+  const auto scenario = ofh::core::parse_scenario_file(argv[1], &error);
+  if (!scenario) {
+    std::fprintf(stderr, "%s\n", error.to_string().c_str());
+    return 2;
+  }
+  const ofh::core::StudyConfig& config = scenario->config;
+  std::printf("Extension (Mirai propagation dynamics), study %s\n", argv[1]);
 
   ofh::sim::Simulation sim;
   ofh::net::Fabric fabric(sim, config.seed);

@@ -3,13 +3,25 @@
 // Randomly-spoofed SYN floods against devices elsewhere on the Internet
 // produce SYN-ACK/RST backscatter; the slice hitting the /8 darknet lets
 // the detector reconstruct victim, duration and estimated magnitude.
-#include "bench_common.h"
+#include <cstdio>
+
+#include "core/scenario.h"
 
 int main(int argc, char** argv) {
-  auto config = ofh::bench::parse_config(argc, argv);
-  ofh::bench::print_banner(config, "Extension (RSDoS backscatter)");
+  if (argc != 2) {
+    std::fprintf(stderr, "usage: ext_rsdos_backscatter <study.ofh>\n"
+                         "  e.g. experiments/paper.ofh\n");
+    return 2;
+  }
+  ofh::core::ScenarioError error;
+  const auto scenario = ofh::core::parse_scenario_file(argv[1], &error);
+  if (!scenario) {
+    std::fprintf(stderr, "%s\n", error.to_string().c_str());
+    return 2;
+  }
+  std::printf("Extension (RSDoS backscatter), study %s\n", argv[1]);
 
-  ofh::core::Study study(config);
+  ofh::core::Study study(scenario->config);
   study.setup_internet();
   study.run_attack_month();
 

@@ -5,8 +5,9 @@
 // known-scanner range; the same sweep is then run from a known-scanner
 // vantage and from a fresh university address, and the coverage gap is
 // measured.
-#include "bench_common.h"
+#include <cstdio>
 
+#include "core/scenario.h"
 #include "scanner/scanner.h"
 
 namespace {
@@ -32,10 +33,20 @@ std::uint64_t sweep_from(ofh::core::Study& study, ofh::util::Ipv4Addr origin,
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto config = ofh::bench::parse_config(argc, argv);
-  ofh::bench::print_banner(config, "Extension (scan-origin blocking)");
+  if (argc != 2) {
+    std::fprintf(stderr, "usage: ext_scan_origin <study.ofh>\n"
+                         "  e.g. experiments/paper.ofh\n");
+    return 2;
+  }
+  ofh::core::ScenarioError error;
+  const auto scenario = ofh::core::parse_scenario_file(argv[1], &error);
+  if (!scenario) {
+    std::fprintf(stderr, "%s\n", error.to_string().c_str());
+    return 2;
+  }
+  std::printf("Extension (scan-origin blocking), study %s\n", argv[1]);
 
-  ofh::core::Study study(config);
+  ofh::core::Study study(scenario->config);
   study.setup_internet();
 
   // A quarter of devices firewall the known commercial-scanner range

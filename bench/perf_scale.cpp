@@ -27,18 +27,18 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/scan_shard.h"
 #include "core/study.h"
 #include "dist/coordinator.h"
 #include "obs/proc_stat.h"
+#include "util/strings.h"
 
 // fork() and the TSan runtime don't mix; under a TSan build the workers
 // section degrades to the in-process path (same policy as
@@ -266,6 +266,26 @@ std::string to_json(const std::vector<ScaleResult>& results,
   return out.str();
 }
 
+// "a,b,c" where every item is a positive number of type T; nullopt on any
+// malformed, empty or non-positive item.
+template <typename T>
+std::optional<std::vector<T>> parse_list(std::string_view spec) {
+  std::vector<T> out;
+  for (const auto& item : ofh::util::split(spec, ',')) {
+    const auto value = ofh::util::parse_number<T>(item);
+    if (!value || !(*value > 0)) return std::nullopt;
+    out.push_back(*value);
+  }
+  return out;
+}
+
+int usage() {
+  std::fprintf(stderr,
+               "usage: perf_scale [--scales=N,N,...] [--out=FILE] [--full] "
+               "[--seed=N] [--workers=N,N,...] [--workers-scale=N]\n");
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -276,32 +296,34 @@ int main(int argc, char** argv) {
   std::uint64_t seed = 42;
   bool full = false;
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--scales=", 9) == 0) {
-      scales.clear();
-      const char* cursor = argv[i] + 9;
-      while (*cursor != '\0') {
-        scales.push_back(std::atof(cursor));
-        cursor = std::strchr(cursor, ',');
-        if (cursor == nullptr) break;
-        ++cursor;
-      }
-    } else if (std::strncmp(argv[i], "--workers=", 10) == 0) {
-      const char* cursor = argv[i] + 10;
-      while (*cursor != '\0') {
-        worker_counts.push_back(
-            static_cast<unsigned>(std::atoll(cursor)));
-        cursor = std::strchr(cursor, ',');
-        if (cursor == nullptr) break;
-        ++cursor;
-      }
-    } else if (std::strncmp(argv[i], "--workers-scale=", 16) == 0) {
-      workers_scale = std::atof(argv[i] + 16);
-    } else if (std::strncmp(argv[i], "--out=", 6) == 0) {
-      out_path = argv[i] + 6;
-    } else if (std::strncmp(argv[i], "--seed=", 7) == 0) {
-      seed = static_cast<std::uint64_t>(std::atoll(argv[i] + 7));
-    } else if (std::strcmp(argv[i], "--full") == 0) {
+    const std::string_view arg = argv[i];
+    const auto value = [&arg](std::string_view flag) {
+      return arg.substr(flag.size());
+    };
+    if (arg.starts_with("--scales=")) {
+      auto parsed = parse_list<double>(value("--scales="));
+      if (!parsed) return usage();
+      scales = std::move(*parsed);
+    } else if (arg.starts_with("--workers=")) {
+      auto parsed = parse_list<unsigned>(value("--workers="));
+      if (!parsed) return usage();
+      worker_counts = std::move(*parsed);
+    } else if (arg.starts_with("--workers-scale=")) {
+      const auto parsed =
+          ofh::util::parse_number<double>(value("--workers-scale="));
+      if (!parsed || !(*parsed > 0)) return usage();
+      workers_scale = *parsed;
+    } else if (arg.starts_with("--out=")) {
+      out_path = value("--out=");
+    } else if (arg.starts_with("--seed=")) {
+      const auto parsed =
+          ofh::util::parse_number<std::uint64_t>(value("--seed="));
+      if (!parsed) return usage();
+      seed = *parsed;
+    } else if (arg == "--full") {
       full = true;
+    } else {
+      return usage();
     }
   }
   if (full) scales.push_back(1);
@@ -311,7 +333,6 @@ int main(int argc, char** argv) {
   std::vector<ScaleResult> results;
   bool conserved = true;
   for (const double denominator : scales) {
-    if (!(denominator > 0)) continue;
     std::printf("-- scale 1/%.0f ...\n", denominator);
     std::fflush(stdout);
     results.push_back(run_scale(denominator, seed));
@@ -332,7 +353,7 @@ int main(int argc, char** argv) {
   // merge divergence at any fleet size fails the bench like a conservation
   // violation would.
   std::vector<WorkerResult> worker_results;
-  if (!worker_counts.empty() && workers_scale > 0) {
+  if (!worker_counts.empty()) {
     std::printf("-- workers section at scale 1/%.0f ...\n", workers_scale);
     std::fflush(stdout);
     worker_results.push_back(run_workers(workers_scale, seed, 0));

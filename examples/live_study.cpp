@@ -21,23 +21,35 @@
 // discover the endpoint, then the summary report when the study completes.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
+#include <type_traits>
 
 #include "core/status_service.h"
 #include "core/study.h"
+#include "util/strings.h"
 
 using namespace ofh;
+
+namespace {
+
+int usage() {
+  std::fprintf(stderr,
+               "usage: live_study [--unix PATH] [--tcp] [--port N] "
+               "[--scale N] [--attack-scale N] [--days N] "
+               "[--threads N] [--serve]\n");
+  return 2;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   std::string unix_path;
   bool tcp = false;
-  int port = 0;
+  std::uint16_t port = 0;
   double scale_denom = 2048;
   double attack_denom = 32;
-  int days = 2;
+  unsigned days = 2;
   unsigned threads = 2;
   bool serve = false;
   for (int i = 1; i < argc; ++i) {
@@ -45,30 +57,36 @@ int main(int argc, char** argv) {
     const auto value = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : "";
     };
+    // Strict numeric operand: a malformed value is a usage error.
+    const auto number = [&](auto& out) {
+      const auto parsed =
+          util::parse_number<std::remove_reference_t<decltype(out)>>(
+              value());
+      if (parsed) out = *parsed;
+      return parsed.has_value();
+    };
+    bool ok = true;
     if (arg == "--unix") {
       unix_path = value();
     } else if (arg == "--tcp") {
       tcp = true;
     } else if (arg == "--port") {
-      port = std::atoi(value());
+      ok = number(port);
       tcp = true;
     } else if (arg == "--scale") {
-      scale_denom = std::atof(value());
+      ok = number(scale_denom) && scale_denom > 0;
     } else if (arg == "--attack-scale") {
-      attack_denom = std::atof(value());
+      ok = number(attack_denom) && attack_denom > 0;
     } else if (arg == "--days") {
-      days = std::atoi(value());
+      ok = number(days) && days > 0;
     } else if (arg == "--threads") {
-      threads = static_cast<unsigned>(std::atoi(value()));
+      ok = number(threads);
     } else if (arg == "--serve") {
       serve = true;
     } else {
-      std::fprintf(stderr,
-                   "usage: live_study [--unix PATH] [--tcp] [--port N] "
-                   "[--scale N] [--attack-scale N] [--days N] "
-                   "[--threads N] [--serve]\n");
-      return 1;
+      ok = false;
     }
+    if (!ok) return usage();
   }
   if (unix_path.empty() && !tcp) {
     std::fprintf(stderr, "live_study: need --unix and/or --tcp/--port\n");
@@ -76,16 +94,16 @@ int main(int argc, char** argv) {
   }
 
   core::StudyConfig config;
-  config.population_scale = scale_denom > 0 ? 1.0 / scale_denom : 1.0;
-  config.attack_scale = attack_denom > 0 ? 1.0 / attack_denom : 1.0;
-  config.attack_duration = sim::days(std::max(1, days));
+  config.population_scale = 1.0 / scale_denom;
+  config.attack_scale = 1.0 / attack_denom;
+  config.attack_duration = sim::days(days);
   config.scan_threads = threads;
   core::Study study(config);
 
   core::StatusService::Options options;
   options.unix_path = unix_path;
   options.tcp = tcp;
-  options.tcp_port = static_cast<std::uint16_t>(port);
+  options.tcp_port = port;
   options.allow_stop = serve;
   core::StatusService service(study.introspection(), options);
   if (!service.start()) {

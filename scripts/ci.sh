@@ -24,7 +24,8 @@ fi
 echo "==> [1/3] RelWithDebInfo + -Werror"
 cmake --preset ci
 cmake --build --preset ci -j "$(nproc)"
-ctest --test-dir build-ci --output-on-failure -j "$(nproc)" -LE scenario
+ctest --test-dir build-ci --output-on-failure -j "$(nproc)" \
+  -LE 'scenario|experiment'
 
 # Scenario corpus (tests/scenarios/*.ofh): each file runs the full study at
 # scan_threads 1/2/8 and must emit byte-identical reports before its regexp
@@ -32,6 +33,12 @@ ctest --test-dir build-ci --output-on-failure -j "$(nproc)" -LE scenario
 # the parallelism, and interleaved output would bury a first-diff line.
 echo "==> scenario corpus (serial, threads 1/2/8 byte-identity)"
 ctest --test-dir build-ci --output-on-failure -L scenario
+
+# The paper's experiments (experiments/*.ofh): every table and figure at
+# EXPERIMENTS.md's scales, each number that document cites pinned by an
+# expectation. Serial for the same reason as the corpus.
+echo "==> paper experiments (serial, threads 1/2/8 byte-identity)"
+ctest --test-dir build-ci --output-on-failure -L experiment
 
 # Determinism lint: the static half of the byte-identical-replay contract.
 # Required — an unsuppressed nondeterminism source, unordered-iteration in an
@@ -111,13 +118,16 @@ export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1"
 if [[ "$FAST" == "1" ]]; then
   ctest --test-dir build-ci-asan -L codec --output-on-failure -j "$(nproc)"
 else
-  ctest --test-dir build-ci-asan --output-on-failure -j "$(nproc)" -LE scenario
+  # The experiments add no code path the corpus does not cover, so they
+  # stay out of the sanitizer passes.
+  ctest --test-dir build-ci-asan --output-on-failure -j "$(nproc)" \
+    -LE 'scenario|experiment'
 
-  # Chaos gate, corpus edition: the old chaos_report example's three
-  # configurations live in tests/scenarios/ as regexp-pinned scenarios
-  # (baseline_clean, flaky_network, chaos_degraded) and run here with the
-  # sanitizers watching — conservation, accounting and fault budgets
-  # included, since their expectations pin those exact report lines.
+  # Chaos gate, corpus edition: the three chaos configurations live in
+  # tests/scenarios/ as regexp-pinned scenarios (baseline_clean,
+  # flaky_network, chaos_degraded) and run here with the sanitizers
+  # watching — conservation, accounting and fault budgets included, since
+  # their expectations pin those exact report lines.
   echo "==> scenario corpus (ASan+UBSan, serial)"
   ctest --test-dir build-ci-asan --output-on-failure -L scenario
 

@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Regenerates the golden report snapshots in tests/goldens/ and the pinned
-# scenario expectations in tests/scenarios/*.ofh from the current tree. Run
+# scenario expectations in tests/scenarios/*.ofh and experiments/*.ofh from
+# the current tree. A moved experiments/ number must also move in
+# EXPERIMENTS.md, which cites them. Run
 # this when a pipeline change intentionally shifts a rendered table, then
 # review the resulting diff like any other code change — "the goldens moved"
 # IS the review surface.
@@ -24,12 +26,13 @@ echo "==> verifying the rewritten goldens pass"
 # exact-match escape; hand-written structural patterns that still match are
 # left untouched. --update runs single-threaded for speed — the 1/2/8
 # byte-identity gate reruns in CI.
-echo "==> rewriting stale expectations in tests/scenarios/*.ofh"
+echo "==> rewriting stale expectations in tests/scenarios/*.ofh and experiments/*.ofh"
 ./build/tools/scenario/scenario_runner --update --threads=1 \
-  tests/scenarios/*.ofh
+  tests/scenarios/*.ofh experiments/*.ofh
 
-echo "==> verifying the corpus passes"
-./build/tools/scenario/scenario_runner --threads=1 tests/scenarios/*.ofh
+echo "==> verifying the corpus and the experiments pass"
+./build/tools/scenario/scenario_runner --threads=1 tests/scenarios/*.ofh \
+  experiments/*.ofh
 
-git --no-pager diff --stat -- tests/goldens tests/scenarios || true
+git --no-pager diff --stat -- tests/goldens tests/scenarios experiments || true
 echo "==> done; review the diff above before committing"

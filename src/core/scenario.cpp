@@ -1,6 +1,5 @@
 #include "core/scenario.h"
 
-#include <charconv>
 #include <cstdlib>
 #include <fstream>
 #include <set>
@@ -37,15 +36,6 @@ std::vector<std::string_view> tokenize(std::string_view line) {
   return tokens;
 }
 
-std::optional<std::uint64_t> parse_unsigned(std::string_view token) {
-  std::uint64_t value = 0;
-  const auto* begin = token.data();
-  const auto* end = token.data() + token.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, value);
-  if (ec != std::errc() || ptr != end) return std::nullopt;
-  return value;
-}
-
 // Plain decimal ("0.05", "42") or a fraction ("1/8192"). Rejects trailing
 // garbage, empty operands and zero denominators; inf/nan parse but are
 // rejected downstream by the NaN-safe range checks.
@@ -60,6 +50,8 @@ std::optional<double> parse_number(std::string_view token) {
     return *numerator / *denominator;
   }
   // strtod needs a terminated buffer; tokens are short (kMaxLineBytes).
+  // Unlike util::parse_number it maps an overflow ("1e309") to inf, which
+  // the range checks then reject as out-of-range rather than malformed.
   const std::string buffer(token);
   char* parse_end = nullptr;
   const double value = std::strtod(buffer.c_str(), &parse_end);
@@ -215,7 +207,7 @@ bool Parser::handle_fault(int line,
     if (!rate_of(tokens[2], rate)) return false;
     sim::Duration delay = schedule.reorder_delay;
     if (tokens.size() == 4) {
-      const auto ms = parse_unsigned(tokens[3]);
+      const auto ms = util::parse_number<std::uint64_t>(tokens[3]);
       if (!ms || *ms > 1'000'000) {
         return fail(line, ScenarioErrorCode::kBadValue,
                     "fault reorder: delay-ms must be an integer <= 1000000");
@@ -242,7 +234,7 @@ bool Parser::handle_fault(int line,
       return false;
     }
     if (tokens.size() == 6) {
-      const auto ms = parse_unsigned(tokens[5]);
+      const auto ms = util::parse_number<std::uint64_t>(tokens[5]);
       if (!ms || *ms == 0 || *ms > 1'000'000) {
         return fail(line, ScenarioErrorCode::kBadValue,
                     "fault burst: slot-ms must be in [1, 1000000]");
@@ -302,8 +294,10 @@ bool Parser::handle_fault(int line,
     shape_ok = cidr_of(window.scope) && day_of(window.start) &&
                day_of(window.end);
     if (shape_ok) {
-      const auto ms = cursor < tokens.size() ? parse_unsigned(tokens[cursor])
-                                             : std::nullopt;
+      const auto ms =
+          cursor < tokens.size()
+              ? util::parse_number<std::uint64_t>(tokens[cursor])
+              : std::nullopt;
       ++cursor;
       if (!ms || *ms > 1'000'000 || cursor != tokens.size()) {
         shape_ok = false;
@@ -417,7 +411,7 @@ bool Parser::handle_directive(int line, std::string_view text) {
   if (name == "seed") {
     const auto operand = one_operand();
     if (!operand) return false;
-    const auto value = parse_unsigned(*operand);
+    const auto value = util::parse_number<std::uint64_t>(*operand);
     if (!value) return bad_value(*operand);
     scenario.config.seed = *value;
     return true;
@@ -455,7 +449,7 @@ bool Parser::handle_directive(int line, std::string_view text) {
       name == "session-attempts") {
     const auto operand = one_operand();
     if (!operand) return false;
-    const auto value = parse_unsigned(*operand);
+    const auto value = util::parse_number<std::uint64_t>(*operand);
     if (!value || *value > 1'000'000'000) return bad_value(*operand);
     return apply_checked(line, name, [&name, v = *value](StudyConfig& c) {
       if (name == "scan-threads") c.scan_threads = static_cast<unsigned>(v);
@@ -718,6 +712,40 @@ std::string render_report(Study& study, const std::string& name,
            " honeypot_only=" + num(study.infected().honeypot_only.size()) +
            " telescope_only=" + num(study.infected().telescope_only.size()) +
            " censys_extra=" + num(study.censys_extra()) + "\n";
+    // Scan start day per protocol: the shape of the paper's Appendix
+    // Table 9 (six sweeps spread across one week).
+    out += "scan-start:";
+    for (const auto& [protocol, when] : study.scan_dates()) {
+      out += " ";
+      out += proto::protocol_name(protocol);
+      out += "=" + sim::format_time(when).substr(0, 3);
+    }
+    out += "\n";
+    out += "planted: misconfigured=" +
+           num(study.population().misconfigured_count()) + " infected=" +
+           num(study.fleet().infected_device_addresses().size()) + "\n";
+    // A port-23-only scan (Project Sonar's) misses the port2323 hosts.
+    std::uint64_t port23 = 0;
+    std::uint64_t port2323 = 0;
+    for (const auto& record : study.scan_db().records()) {
+      if (record.protocol != proto::Protocol::kTelnet) continue;
+      port23 += record.port == 23 ? 1 : 0;
+      port2323 += record.port == 2323 ? 1 : 0;
+    }
+    out += "telnet-ports: port23=" + num(port23) +
+           " port2323=" + num(port2323) + "\n";
+    out += "telescope-tuples: count=" + num(study.scope().tuple_count()) +
+           "\n";
+    // Attack volume before and after mid-month; listing by scanning
+    // services (listing-boost) makes the second half heavier (Figure 8).
+    std::uint64_t first_half = 0;
+    std::uint64_t second_half = 0;
+    for (const auto& event : study.attack_log().events()) {
+      (event.when < study.config().attack_duration / 2 ? first_half
+                                                       : second_half) += 1;
+    }
+    out += "attack-halves: first=" + num(first_half) +
+           " second=" + num(second_half) + "\n";
     return out;
   }
   return "unknown report: " + name + "\n";  // unreachable: parser validates

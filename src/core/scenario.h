@@ -3,8 +3,9 @@
 // fault schedule) and pin the reports it must emit with ordered regexp
 // expectations — the sftpserver test idiom (script lines interleaved with
 // '#'-prefixed regexps) applied to the whole measurement pipeline. Each
-// checked-in scenario under tests/scenarios/ is discovered as an individual
-// CTest case (label `scenario`), runs the full study at scan_threads 1/2/8,
+// checked-in scenario under tests/scenarios/ (label `scenario`) and each
+// paper experiment under experiments/ (label `experiment`) is discovered as
+// an individual CTest case, runs the full study at scan_threads 1/2/8,
 // and must emit byte-identical reports at every thread count before the
 // expectations are even consulted.
 //
@@ -90,7 +91,10 @@ struct Scenario {
 };
 
 // Every name `report` accepts: the paper tables/figures (core/reports.h),
-// "summary" (pipeline totals), "degradation" / "degradation-vs-baseline"
+// "summary" (pipeline totals, plus the ablation facts no table prints:
+// scan start days, planted ground truth, Telnet hosts on 23 vs 2323,
+// telescope flow tuples, attack events per half month),
+// "degradation" / "degradation-vs-baseline"
 // (Study::degradation_report) and "chains" (Study::attack_chains).
 const std::vector<std::string>& scenario_report_names();
 

@@ -1,5 +1,6 @@
 #include "datasets/open_datasets.h"
 
+#include "devices/ports.h"
 #include "util/rng.h"
 
 namespace ofh::datasets {
@@ -71,12 +72,10 @@ DatasetSnapshot generate_snapshot(const CoverageModel& model,
 
     std::uint16_t port = proto::default_port(primary);
     if (primary == Protocol::kTelnet) {
-      // Mirror the device's own port selection (see Device::install_telnet).
-      const bool alt_port = (address.value() % 16) == 0;
-      if (alt_port) {
-        if (!model.telnet_includes_2323) continue;  // invisible to Sonar
-        port = 2323;
-      }
+      // The device's own port (devices/ports.h); 2323 is invisible to a
+      // port-23-only source such as Sonar.
+      port = devices::telnet_port(address.value());
+      if (port == 2323 && !model.telnet_includes_2323) continue;
     }
 
     // Coverage is expressed over all exposed hosts; hosts already excluded

@@ -14,6 +14,10 @@ Device::Device(DeviceSpec spec) : net::Host(spec.address), spec_(std::move(spec)
 
 Device::~Device() = default;
 
+DevicePorts Device::ports() const {
+  return device_ports(spec_.primary, spec_.address.value());
+}
+
 void Device::on_attached() {
   switch (spec_.primary) {
     case proto::Protocol::kTelnet: install_telnet(); break;
@@ -60,10 +64,7 @@ void Device::install_telnet() {
       {"uname", "Linux device 3.10.0 armv7l\r\n"},
       {"busybox", "BusyBox v1.20.2 multi-call binary.\r\n"},
   };
-  // Scan both Telnet ports: some devices listen on 2323 (the paper's
-  // explanation for its higher Telnet counts vs Project Sonar).
-  const bool alt_port = (spec_.address.value() % 16) == 0;
-  config.port = alt_port ? 2323 : 23;
+  config.port = ports().tcp[0];
   services_.push_back(std::make_unique<TelnetServer>(std::move(config)));
 }
 
@@ -88,6 +89,7 @@ void Device::install_mqtt() {
   } else {
     config.retained.push_back({"devices/generic/uptime", "3600"});
   }
+  config.port = ports().tcp[0];
   services_.push_back(std::make_unique<Broker>(std::move(config)));
 }
 
@@ -123,6 +125,7 @@ void Device::install_coap() {
   }
   config.resources.push_back(Resource{"sensors/temp", "ucum:Cel", "21.3", true});
   config.resources.push_back(Resource{"sensors/state", "core.s", "x1C", true});
+  config.port = ports().udp;
   services_.push_back(std::make_unique<CoapServer>(std::move(config)));
 }
 
@@ -142,6 +145,7 @@ void Device::install_amqp() {
                                     : spec_.credentials);
   }
   config.queues.push_back({"telemetry", {"reading=ok"}});
+  config.port = ports().tcp[0];
   services_.push_back(std::make_unique<AmqpBroker>(std::move(config)));
 }
 
@@ -164,6 +168,8 @@ void Device::install_xmpp() {
       config.starttls_required = true;
       break;
   }
+  config.client_port = ports().tcp[0];
+  config.server_port = ports().tcp[1];
   services_.push_back(std::make_unique<XmppServer>(std::move(config)));
 }
 
@@ -203,6 +209,7 @@ void Device::install_upnp() {
     }
   }
   config.responses_per_search = 3;  // root device + embedded device + service
+  config.port = ports().udp;
   services_.push_back(std::make_unique<UpnpDevice>(std::move(config)));
 }
 

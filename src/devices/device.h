@@ -10,6 +10,7 @@
 
 #include "devices/misconfig.h"
 #include "devices/models.h"
+#include "devices/ports.h"
 #include "net/host.h"
 #include "proto/service.h"
 
@@ -49,6 +50,8 @@ class Device : public net::Host {
   void install_amqp();
   void install_xmpp();
   void install_upnp();
+  // This device's row of the port table (devices/ports.h).
+  DevicePorts ports() const;
 
   DeviceSpec spec_;
   std::vector<std::unique_ptr<proto::Service>> services_;

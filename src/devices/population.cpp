@@ -7,6 +7,7 @@
 #include <unordered_map>
 
 #include "devices/paper_stats.h"
+#include "devices/ports.h"
 
 namespace ofh::devices {
 
@@ -57,35 +58,6 @@ std::vector<std::uint64_t> apportion(std::uint64_t total,
     ++assigned;
   }
   return counts;
-}
-
-// Predicted TCP listener set per primary protocol. Must mirror exactly what
-// Device::on_attached wires up (devices/device.cpp): the lazy-host verdict
-// for a SYN is "this port would accept" vs "this port would RST", and a
-// wrong prediction changes scan results. tests/population_test.cpp
-// cross-checks against real materialized stacks.
-bool predicted_tcp_listener(proto::Protocol protocol, std::uint32_t addr,
-                            std::uint16_t port) {
-  using P = proto::Protocol;
-  switch (protocol) {
-    case P::kTelnet:
-      // Some devices listen on 2323 instead of 23 (install_telnet).
-      return port == ((addr % 16) == 0 ? 2323 : 23);
-    case P::kMqtt: return port == 1883;
-    case P::kAmqp: return port == 5672;
-    case P::kXmpp: return port == 5222 || port == 5269;
-    default: return false;  // CoAP/UPnP devices expose no TCP listener
-  }
-}
-
-// Predicted UDP bindings, same contract as predicted_tcp_listener.
-bool predicted_udp_binding(proto::Protocol protocol, std::uint16_t port) {
-  using P = proto::Protocol;
-  switch (protocol) {
-    case P::kCoap: return port == 5683;
-    case P::kUpnp: return port == 1900;
-    default: return false;
-  }
 }
 
 }  // namespace
@@ -367,7 +339,7 @@ Population::Verdict Population::classify(const net::Packet& packet) const {
   if (packet.transport == net::Transport::kUdp) {
     // Unbound UDP ports are silent (no ICMP in the model): consumed without
     // reaction, so no materialization needed.
-    return predicted_udp_binding(protocol, packet.dst_port)
+    return device_ports(protocol, addresses_[*row]).binds_udp(packet.dst_port)
                ? Verdict::kMaterialize
                : Verdict::kConsume;
   }
@@ -375,7 +347,7 @@ Population::Verdict Population::classify(const net::Packet& packet) const {
   // connection except a SYN, which either reaches a listener (materialize:
   // the handshake builds state) or draws a closed-port RST.
   if (!packet.is_syn_only()) return Verdict::kConsume;
-  return predicted_tcp_listener(protocol, addresses_[*row], packet.dst_port)
+  return device_ports(protocol, addresses_[*row]).listens_tcp(packet.dst_port)
              ? Verdict::kMaterialize
              : Verdict::kReset;
 }

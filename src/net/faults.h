@@ -108,7 +108,8 @@ struct FaultSchedule {
   }
 
   // Canned chaos: a seed-derived schedule with every fault kind
-  // represented, used by the chaos_report example, ci.sh and faults_test.
+  // represented, used by the `fault chaos` scenario directive (e.g.
+  // tests/scenarios/chaos_degraded.ofh) and faults_test.
   static FaultSchedule chaos(std::uint64_t seed, const ChaosOptions& options);
 };
 

@@ -42,6 +42,7 @@ class Telescope : public net::PacketSink {
   // proves insertion-order independence, tests/parallel_test proves
   // byte-identical reports at any scan_threads).
   std::vector<FlowTuple> tuples() const;
+  std::size_t tuple_count() const { return tuples_.size(); }
 
   std::uint64_t total_packets() const { return total_packets_; }
 

@@ -39,6 +39,14 @@ TEST_P(MisconfigRule, ClassifiesBannerPerTable2And3) {
       << param.banner;
 }
 
+// Names each case "<protocol>_<index>". The default name would be the
+// struct's raw bytes, which embed the banner pointer and so change with
+// every load address.
+std::string rule_case_name(const ::testing::TestParamInfo<RuleCase>& info) {
+  return std::string(proto::protocol_name(info.param.protocol)) + "_" +
+         std::to_string(info.index);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Table2Tcp, MisconfigRule,
     ::testing::Values(
@@ -84,7 +92,8 @@ INSTANTIATE_TEST_SUITE_P(
         RuleCase{Protocol::kXmpp,
                  "<mechanism>SCRAM-SHA-1</mechanism>"
                  "<mechanism>PLAIN</mechanism>",
-                 std::nullopt}));
+                 std::nullopt}),
+    rule_case_name);
 
 INSTANTIATE_TEST_SUITE_P(
     Table3Udp, MisconfigRule,
@@ -103,7 +112,8 @@ INSTANTIATE_TEST_SUITE_P(
                  Misconfig::kUpnpReflector},
         RuleCase{Protocol::kUpnp,
                  "HTTP/1.1 200 OK\r\nST: upnp:rootdevice\r\nEXT:\r\n",
-                 std::nullopt}));
+                 std::nullopt}),
+    rule_case_name);
 
 TEST(ClassifyAll, PicksMostSevereFindingPerHost) {
   scanner::ScanDb db;

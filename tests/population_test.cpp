@@ -6,10 +6,12 @@
 // and port — or the lazy world silently diverges from the eager one.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <vector>
 
 #include "devices/device.h"
 #include "devices/population.h"
+#include "devices/ports.h"
 #include "test_helpers.h"
 
 namespace ofh::devices {
@@ -56,38 +58,43 @@ class PopulationLazy : public SimTest {
 };
 
 TEST_F(PopulationLazy, ClassifyPredictionMatchesMaterializedStacks) {
-  // Every port any installed service could claim, plus closed controls.
-  const std::uint16_t tcp_ports[] = {23,    2323, 80,   443,  1883,
-                                     5672,  5222, 5269, 5683, 1900};
-  const std::uint16_t udp_ports[] = {23, 1883, 5683, 1900, 4711};
+  // Every port the table (devices/ports.h) names for any protocol, probed
+  // over both transports so each also serves as a closed control for the
+  // other, plus ports no device serves.
+  std::set<std::uint16_t> ports = {80, 443, 4711};
+  for (const auto protocol : proto::scanned_protocols()) {
+    for (const std::uint32_t addr : {0u, 1u}) {  // Telnet: 2323, then 23
+      const DevicePorts row = device_ports(protocol, addr);
+      for (const auto port : row.tcp) {
+        if (port != 0) ports.insert(port);
+      }
+      if (row.udp != 0) ports.insert(row.udp);
+    }
+  }
 
   for (std::uint64_t i = 0; i < population_->size(); ++i) {
     const Ipv4Addr addr = population_->address_at(i);
     if (*population_->index_of(addr) != i) continue;  // duplicate address
 
     // Predict first: classify() only answers for unmaterialized rows.
-    std::vector<Verdict> tcp_verdicts, udp_verdicts;
-    for (const auto port : tcp_ports) {
-      tcp_verdicts.push_back(population_->classify(tcp_syn(addr, port)));
-    }
-    for (const auto port : udp_ports) {
-      udp_verdicts.push_back(population_->classify(udp_probe(addr, port)));
+    std::vector<std::pair<Verdict, Verdict>> predicted;  // (tcp, udp)
+    for (const auto port : ports) {
+      predicted.emplace_back(population_->classify(tcp_syn(addr, port)),
+                             population_->classify(udp_probe(addr, port)));
     }
 
     // Then materialize the real device and compare against its stacks.
     Device* device = population_->device_at(i);
     ASSERT_NE(device, nullptr);
-    for (std::size_t p = 0; p < std::size(tcp_ports); ++p) {
-      const bool listening = device->tcp().listening(tcp_ports[p]);
-      EXPECT_EQ(tcp_verdicts[p],
-                listening ? Verdict::kMaterialize : Verdict::kReset)
-          << addr.to_string() << " tcp port " << tcp_ports[p];
-    }
-    for (std::size_t p = 0; p < std::size(udp_ports); ++p) {
-      const bool bound = device->udp().bound(udp_ports[p]);
-      EXPECT_EQ(udp_verdicts[p],
-                bound ? Verdict::kMaterialize : Verdict::kConsume)
-          << addr.to_string() << " udp port " << udp_ports[p];
+    auto verdict = predicted.begin();
+    for (const auto port : ports) {
+      const auto [tcp, udp] = *verdict++;
+      EXPECT_EQ(tcp, device->tcp().listening(port) ? Verdict::kMaterialize
+                                                   : Verdict::kReset)
+          << addr.to_string() << " tcp port " << port;
+      EXPECT_EQ(udp, device->udp().bound(port) ? Verdict::kMaterialize
+                                               : Verdict::kConsume)
+          << addr.to_string() << " udp port " << port;
     }
   }
 }
@@ -128,8 +135,8 @@ TEST_F(PopulationLazy, ClosedPortSynIsRefusedWithoutMaterializing) {
 }
 
 TEST_F(PopulationLazy, OpenPortSynMaterializesAndCompletesHandshake) {
-  // Find a canonical Telnet row; its predicted listener port depends on the
-  // address (device.cpp: every 16th device listens on 2323 instead of 23).
+  // Find a canonical Telnet row; its listener port depends on the address
+  // (devices/ports.h: every 16th device listens on 2323 instead of 23).
   std::uint64_t row = population_->size();
   for (std::uint64_t i = 0; i < population_->size(); ++i) {
     if (population_->primary_at(i) != proto::Protocol::kTelnet) continue;
@@ -140,7 +147,7 @@ TEST_F(PopulationLazy, OpenPortSynMaterializesAndCompletesHandshake) {
   }
   ASSERT_LT(row, population_->size());
   const Ipv4Addr addr = population_->address_at(row);
-  const std::uint16_t port = addr.value() % 16 == 0 ? 2323 : 23;
+  const std::uint16_t port = telnet_port(addr.value());
 
   const auto before = population_->materialized_count();
   PlainHost client(Ipv4Addr(9, 8, 7, 5));

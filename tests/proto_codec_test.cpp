@@ -182,6 +182,13 @@ TEST_P(TopicMatch, MatchesPerSpec) {
       << param.filter << " vs " << param.topic;
 }
 
+// Names each case "matches_<index>" or "rejects_<index>"; the default name
+// would print the filter and topic pointers, which move with the load address.
+std::string topic_case_name(const ::testing::TestParamInfo<TopicCase>& info) {
+  return (info.param.matches ? "matches_" : "rejects_") +
+         std::to_string(info.index);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Wildcards, TopicMatch,
     ::testing::Values(TopicCase{"a/b", "a/b", true},
@@ -194,7 +201,8 @@ INSTANTIATE_TEST_SUITE_P(
                       TopicCase{"a/+/c", "a/b/d", false},
                       TopicCase{"$SYS/#", "$SYS/broker/version", true},
                       TopicCase{"a/b", "a", false},
-                      TopicCase{"a", "a/b", false}));
+                      TopicCase{"a", "a/b", false}),
+    topic_case_name);
 
 // ------------------------------------------------------------------- coap
 

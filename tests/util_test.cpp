@@ -436,6 +436,25 @@ TEST(Strings, ParseU64SaturatesInsteadOfUb) {
             std::numeric_limits<std::uint64_t>::max());
 }
 
+TEST(Strings, ParseNumberConsumesTheWholeText) {
+  EXPECT_EQ(parse_number<unsigned>("4"), 4u);
+  EXPECT_EQ(parse_number<int>("-3"), -3);
+  EXPECT_EQ(parse_number<std::uint64_t>("18446744073709551615"),
+            std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(parse_number<double>("0.05"), 0.05);
+  EXPECT_EQ(parse_number<double>("512"), 512.0);
+  // Everything atoi/atof would have turned into 0 or a truncated value.
+  EXPECT_EQ(parse_number<unsigned>("-1"), std::nullopt);  // not 4294967295
+  EXPECT_EQ(parse_number<unsigned>("abc"), std::nullopt);
+  EXPECT_EQ(parse_number<unsigned>("12abc"), std::nullopt);
+  EXPECT_EQ(parse_number<unsigned>(""), std::nullopt);
+  EXPECT_EQ(parse_number<unsigned>(" 7"), std::nullopt);
+  EXPECT_EQ(parse_number<unsigned>("+7"), std::nullopt);
+  EXPECT_EQ(parse_number<int>("99999999999"), std::nullopt);  // out of range
+  EXPECT_EQ(parse_number<double>("1.5x"), std::nullopt);
+  EXPECT_EQ(parse_number<double>(""), std::nullopt);
+}
+
 TEST(Table, RendersAlignedColumns) {
   Table table({"Name", "Count"});
   table.add_row({"alpha", "1"});

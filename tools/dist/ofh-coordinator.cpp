@@ -13,22 +13,24 @@
 // runs where --kill-one SIGKILLs a worker mid-job — which is the
 // distributed layer's whole contract (DESIGN.md §15).
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/scan_shard.h"
 #include "core/scenario.h"
 #include "dist/coordinator.h"
+#include "util/strings.h"
 
 namespace {
 
 struct Args {
   std::string listen_path;
   unsigned workers = 3;      // StudyConfig::scan_workers
-  int fork_workers = -1;     // -1 = default: workers when not listening
+  // Unset = default: workers when not listening.
+  std::optional<unsigned> fork_workers;
   unsigned wait_workers = 0;  // HELLOs to wait for before dispatching
   bool kill_one = false;
   std::string scale = "1/16384";
@@ -53,6 +55,16 @@ std::string scenario_text(const Args& args) {
   return text;
 }
 
+void usage(std::FILE* stream) {
+  std::fprintf(
+      stream,
+      "usage: ofh-coordinator [--workers N] [--listen PATH] [--fork N]\n"
+      "                       [--wait N] [--kill-one] [--scale F]\n"
+      "                       [--attack-scale F] [--days N] [--seed N]\n"
+      "                       [--report NAME]... [--out FILE]\n"
+      "--workers 0 runs the in-process serial reference.\n");
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -60,14 +72,25 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const bool has_value = i + 1 < argc;
+    // Strict numeric operand: a malformed or out-of-range value (say
+    // "--workers -1") is a usage error, never a silent 4 billion.
+    const auto number = [&](auto& out) {
+      const auto value = ofh::util::parse_number<
+          std::remove_reference_t<decltype(out)>>(argv[++i]);
+      if (value) out = *value;
+      return value.has_value();
+    };
+    bool ok = true;
     if (arg == "--listen" && has_value) {
       args.listen_path = argv[++i];
     } else if (arg == "--workers" && has_value) {
-      args.workers = static_cast<unsigned>(std::atoi(argv[++i]));
+      ok = number(args.workers);
     } else if (arg == "--fork" && has_value) {
-      args.fork_workers = std::atoi(argv[++i]);
+      unsigned forks = 0;
+      ok = number(forks);
+      args.fork_workers = forks;
     } else if (arg == "--wait" && has_value) {
-      args.wait_workers = static_cast<unsigned>(std::atoi(argv[++i]));
+      ok = number(args.wait_workers);
     } else if (arg == "--kill-one") {
       args.kill_one = true;
     } else if (arg == "--scale" && has_value) {
@@ -75,24 +98,23 @@ int main(int argc, char** argv) {
     } else if (arg == "--attack-scale" && has_value) {
       args.attack_scale = argv[++i];
     } else if (arg == "--days" && has_value) {
-      args.days = static_cast<unsigned>(std::atoi(argv[++i]));
+      ok = number(args.days);
     } else if (arg == "--seed" && has_value) {
-      args.seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
+      ok = number(args.seed);
     } else if (arg == "--out" && has_value) {
       args.out_path = argv[++i];
     } else if (arg == "--report" && has_value) {
       args.reports.push_back(argv[++i]);
     } else if (arg == "--help" || arg == "-h") {
-      std::printf(
-          "usage: ofh-coordinator [--workers N] [--listen PATH] [--fork N]\n"
-          "                       [--wait N] [--kill-one] [--scale F]\n"
-          "                       [--attack-scale F] [--days N] [--seed N]\n"
-          "                       [--report NAME]... [--out FILE]\n"
-          "--workers 0 runs the in-process serial reference.\n");
+      usage(stdout);
       return 0;
     } else {
-      std::fprintf(stderr, "ofh-coordinator: unknown argument '%s'\n",
+      ok = false;
+    }
+    if (!ok) {
+      std::fprintf(stderr, "ofh-coordinator: bad argument '%s'\n",
                    arg.c_str());
+      usage(stderr);
       return 2;
     }
   }
@@ -101,9 +123,8 @@ int main(int argc, char** argv) {
   // This is the serial reference CI diffs every distributed run against.
   if (args.workers > 0) {
     const unsigned forks =
-        args.fork_workers >= 0
-            ? static_cast<unsigned>(args.fork_workers)
-            : (args.listen_path.empty() ? args.workers : 0);
+        args.fork_workers.value_or(args.listen_path.empty() ? args.workers
+                                                            : 0);
     ofh::core::set_scan_shard_dispatcher(
         [&args, forks](const ofh::core::StudyConfig& config,
                        const std::vector<ofh::core::ScanShardJob>& jobs,

@@ -7,10 +7,25 @@
 // Crash-safety is the coordinator's job: killing this process at any point
 // (SIGKILL included) only costs the in-flight attempt.
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "dist/worker.h"
+#include "util/strings.h"
+
+namespace {
+
+// Prints usage; a non-empty `bad` argument makes it an error (exit 2).
+int usage(std::FILE* stream, const std::string& bad) {
+  if (!bad.empty()) {
+    std::fprintf(stream, "ofh-worker: bad argument '%s'\n", bad.c_str());
+  }
+  std::fprintf(stream,
+               "usage: ofh-worker --connect PATH [--name NAME] "
+               "[--connect-wait-ms MS]\n");
+  return bad.empty() ? 0 : 2;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   ofh::dist::WorkerOptions options;
@@ -21,16 +36,13 @@ int main(int argc, char** argv) {
     } else if (arg == "--name" && i + 1 < argc) {
       options.name = argv[++i];
     } else if (arg == "--connect-wait-ms" && i + 1 < argc) {
-      options.connect_wait_ms = std::atoi(argv[++i]);
+      const auto wait_ms = ofh::util::parse_number<int>(argv[++i]);
+      if (!wait_ms || *wait_ms < 0) return usage(stderr, arg);
+      options.connect_wait_ms = *wait_ms;
     } else if (arg == "--help" || arg == "-h") {
-      std::printf(
-          "usage: ofh-worker --connect PATH [--name NAME] "
-          "[--connect-wait-ms MS]\n");
-      return 0;
+      return usage(stdout, {});
     } else {
-      std::fprintf(stderr, "ofh-worker: unknown argument '%s'\n",
-                   arg.c_str());
-      return 2;
+      return usage(stderr, arg);
     }
   }
   if (options.connect_path.empty()) {

@@ -16,7 +16,8 @@
 //
 // Exit status: 0 on a clean run (including the server going away mid-view,
 // which is the normal end of a study), 1 on connect failure or a protocol
-// error on the very first poll.
+// error on the very first poll, 2 on a usage error (unknown flag or a
+// malformed number).
 #include <arpa/inet.h>
 #include <errno.h>
 #include <netinet/in.h>
@@ -39,6 +40,7 @@
 #include "core/status_service.h"
 #include "obs/introspect.h"
 #include "util/bytes.h"
+#include "util/strings.h"
 
 namespace {
 
@@ -339,26 +341,34 @@ int main(int argc, char** argv) {
     const auto value = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : "";
     };
+    bool ok = true;
     if (arg == "--unix") {
       options.unix_path = value();
     } else if (arg == "--host") {
       options.host = value();
     } else if (arg == "--port") {
-      options.port = std::atoi(value());
+      const auto port = ofh::util::parse_number<std::uint16_t>(value());
+      ok = port.has_value();
+      options.port = port.value_or(0);
     } else if (arg == "--once") {
       options.once = true;
     } else if (arg == "--raw") {
       options.raw = true;
     } else if (arg == "--interval-ms") {
-      options.interval_ms = std::max(50, std::atoi(value()));
+      const auto interval = ofh::util::parse_number<int>(value());
+      ok = interval.has_value();
+      options.interval_ms = std::max(50, interval.value_or(0));
     } else {
+      ok = false;
+    }
+    if (!ok) {
       usage();
-      return 1;
+      return 2;
     }
   }
   if (options.unix_path.empty() && options.port == 0) {
     usage();
-    return 1;
+    return 2;
   }
 
   bool first = true;

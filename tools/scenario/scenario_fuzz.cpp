@@ -16,9 +16,12 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "core/scenario.h"
+#include "util/strings.h"
 
 namespace {
 
@@ -127,27 +130,43 @@ int main(int argc, char** argv) {
   bool dump = false;
   std::vector<std::string> files;
 
+  const auto usage = [](std::FILE* stream) {
+    std::fprintf(stream,
+                 "usage: scenario_fuzz [--seed=N] [--iterations=N] "
+                 "[--run-every=N] [--only=ITER] [--dump] <corpus.ofh>...\n");
+  };
   for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--seed=", 0) == 0) {
-      seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
-    } else if (arg.rfind("--iterations=", 0) == 0) {
-      iterations = static_cast<int>(std::strtol(arg.c_str() + 13,
-                                                nullptr, 10));
-    } else if (arg.rfind("--run-every=", 0) == 0) {
-      run_every = static_cast<int>(std::strtol(arg.c_str() + 12,
-                                               nullptr, 10));
-    } else if (arg.rfind("--only=", 0) == 0) {
-      only = std::strtol(arg.c_str() + 7, nullptr, 10);
+    const std::string_view arg = argv[i];
+    // "--flag=N" with a strictly parsed N: "--iterations=5oo" is a usage
+    // error, not a 5-iteration run.
+    const auto number = [&arg](std::string_view flag, auto& out) {
+      const auto value =
+          ofh::util::parse_number<std::remove_reference_t<decltype(out)>>(
+              arg.substr(flag.size()));
+      if (value) out = *value;
+      return value.has_value();
+    };
+    bool ok = true;
+    if (arg.starts_with("--seed=")) {
+      ok = number("--seed=", seed);
+    } else if (arg.starts_with("--iterations=")) {
+      ok = number("--iterations=", iterations);
+    } else if (arg.starts_with("--run-every=")) {
+      ok = number("--run-every=", run_every);
+    } else if (arg.starts_with("--only=")) {
+      ok = number("--only=", only);
     } else if (arg == "--dump") {
       dump = true;
     } else if (arg == "--help" || arg == "-h") {
-      std::printf(
-          "usage: scenario_fuzz [--seed=N] [--iterations=N] "
-          "[--run-every=N] [--only=ITER] [--dump] <corpus.ofh>...\n");
+      usage(stdout);
       return 0;
     } else {
-      files.push_back(arg);
+      files.emplace_back(arg);
+    }
+    if (!ok) {
+      std::fprintf(stderr, "scenario_fuzz: bad argument '%s'\n", argv[i]);
+      usage(stderr);
+      return 2;
     }
   }
   if (files.empty()) {

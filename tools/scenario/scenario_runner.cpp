@@ -25,6 +25,7 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -32,6 +33,7 @@
 #include "core/scan_shard.h"
 #include "core/scenario.h"
 #include "dist/coordinator.h"
+#include "util/strings.h"
 
 // Fork-based worker processes don't mix with ThreadSanitizer (fork from an
 // instrumented process wedges the child's runtime); under TSan the runner
@@ -76,17 +78,23 @@ using ofh::core::Scenario;
 using ofh::core::ScenarioError;
 using ofh::core::ScenarioRunOptions;
 
-std::vector<unsigned> parse_threads(const std::string& spec) {
+// "--threads=a,b,c": every item must be a whole number in [0, 1024]
+// (0 = one thread per hardware thread); anything else is a usage error.
+std::optional<std::vector<unsigned>> parse_threads(const std::string& spec) {
   std::vector<unsigned> sweep;
-  std::stringstream stream(spec);
-  std::string item;
-  while (std::getline(stream, item, ',')) {
-    const long value = std::strtol(item.c_str(), nullptr, 10);
-    if (value >= 0 && value <= 1024) {
-      sweep.push_back(static_cast<unsigned>(value));
-    }
+  for (const auto& item : ofh::util::split(spec, ',')) {
+    const auto value = ofh::util::parse_number<unsigned>(item);
+    if (!value || *value > 1024) return std::nullopt;
+    sweep.push_back(*value);
   }
+  if (sweep.empty()) return std::nullopt;
   return sweep;
+}
+
+void usage(std::FILE* stream) {
+  std::fprintf(stream,
+               "usage: scenario_runner [--list|--show|--update] "
+               "[--threads=a,b,c] <file.ofh>...\n");
 }
 
 int list_mode(const std::vector<std::string>& files) {
@@ -237,12 +245,16 @@ int main(int argc, char** argv) {
     } else if (arg == "--update") {
       update = true;
     } else if (arg.rfind("--threads=", 0) == 0) {
-      const auto sweep = parse_threads(arg.substr(10));
-      if (!sweep.empty()) options.thread_sweep = sweep;
+      auto sweep = parse_threads(arg.substr(10));
+      if (!sweep) {
+        std::fprintf(stderr, "scenario_runner: bad argument '%s'\n",
+                     arg.c_str());
+        usage(stderr);
+        return 2;
+      }
+      options.thread_sweep = std::move(*sweep);
     } else if (arg == "--help" || arg == "-h") {
-      std::printf(
-          "usage: scenario_runner [--list|--show|--update] "
-          "[--threads=a,b,c] <file.ofh>...\n");
+      usage(stdout);
       return 0;
     } else {
       files.push_back(arg);
