@@ -5,7 +5,9 @@
 // event arena (sim/event_queue.h) for the three closure shapes that matter:
 // inline-sized captures (the common case — no allocation per event),
 // oversized captures (heap fallback), and the chained ping-pong that
-// dominates steady-state protocol timers.
+// dominates steady-state protocol timers. BM_KernelFixedDelayTimers shows
+// what heap depth costs: the scan's 3 s timeouts in the heap against the
+// same timeouts in a fixed-delay lane.
 //
 // BM_ParallelSweeps is the speedup experiment: six independent Telnet
 // sweeps, each on a private fabric replica, executed by ParallelRunner with
@@ -30,6 +32,7 @@
 #include "scanner/scanner.h"
 #include "sim/parallel.h"
 #include "sim/simulation.h"
+#include "util/rng.h"
 
 namespace {
 
@@ -138,6 +141,46 @@ void BM_KernelPingPong(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * limit);
 }
 BENCHMARK(BM_KernelPingPong)->Arg(1 << 16);
+
+// The scan's timer shape: batches of probes, each arming a 3 s connect
+// timeout and sending a packet whose delivery latency is jittered per
+// target. Batches are paced so about range(0) timeouts are pending when the
+// first ones fire, as during a sweep. The `after` arm puts every timeout in
+// the heap, under the deliveries; the `after_fixed` arm keeps them in a
+// FIFO lane (sim/event_queue.h), so the heap holds only the deliveries.
+// Both arms fire the same events in the same order.
+void BM_KernelFixedDelayTimers(benchmark::State& state, bool lanes) {
+  using ofh::sim::Duration;
+  const std::uint64_t probes = static_cast<std::uint64_t>(state.range(0));
+  constexpr std::uint64_t kBatch = 4096;
+  constexpr Duration kTimeout = ofh::sim::seconds(3);
+  const Duration tick = kTimeout * kBatch / probes;
+  for (auto _ : state) {
+    ofh::sim::Simulation sim;
+    std::uint64_t fired = 0;
+    std::uint64_t sent = 0;
+    std::function<void()> pump = [&] {
+      for (std::uint64_t i = 0; i < kBatch && sent < probes; ++i, ++sent) {
+        const Duration latency =
+            ofh::sim::msec(5) + ofh::util::splitmix64(sent) % ofh::sim::msec(4);
+        sim.after(latency, [&fired] { ++fired; });
+        if (lanes) {
+          sim.after_fixed(kTimeout, [&fired] { ++fired; });
+        } else {
+          sim.after(kTimeout, [&fired] { ++fired; });
+        }
+      }
+      if (sent < probes) sim.after(tick, pump);
+    };
+    pump();
+    sim.run();
+    benchmark::DoNotOptimize(fired);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(2 * probes));
+}
+BENCHMARK_CAPTURE(BM_KernelFixedDelayTimers, after, false)->Arg(1 << 18);
+BENCHMARK_CAPTURE(BM_KernelFixedDelayTimers, after_fixed, true)->Arg(1 << 18);
 
 // One Telnet sweep over a /24 with 200 devices on a private replica.
 std::size_t run_sweep_shard(int shard) {

@@ -428,21 +428,23 @@ void Fabric::send_flood(std::vector<Packet> packets) {
 }
 
 void Fabric::deliver_packet(Packet packet, sim::Duration extra_delay) {
+  const sim::Duration delay = sample_latency(packet) + extra_delay;
   // Darknet ranges swallow traffic into their sink: no host ever answers.
-  for (const auto& darknet : darknets_) {
-    if (darknet.range.contains(packet.dst)) {
-      PacketSink* sink = darknet.sink;
-      const sim::Duration delay = sample_latency(packet) + extra_delay;
-      sim_.after(delay, [sink, packet = std::move(packet), delay, this] {
-        note_delivered(packet, delay, sim_.now());
-        sink->observe(packet, sim_.now());
-      });
-      return;
-    }
+  // The sink is looked up again at delivery rather than captured, which
+  // keeps the closure inline; darknets_ only grows and the first match
+  // wins, so it is the sink that owned the address at send time.
+  if (sink_for(packet.dst) != nullptr) {
+    auto deliver = [this, delay, packet = std::move(packet)] {
+      note_delivered(packet, delay, sim_.now());
+      sink_for(packet.dst)->observe(packet, sim_.now());
+    };
+    static_assert(sim::SmallCallable::stores_inline<decltype(deliver)>,
+                  "a darknet delivery must not allocate per packet");
+    sim_.after(delay, std::move(deliver));
+    return;
   }
 
-  const sim::Duration delay = sample_latency(packet) + extra_delay;
-  sim_.after(delay, [this, delay, packet = std::move(packet)]() mutable {
+  auto deliver = [this, delay, packet = std::move(packet)]() mutable {
     // Resolve at delivery time: hosts may churn while the packet is in
     // flight, in which case the packet is silently lost (as on the real
     // Internet when a route disappears).
@@ -487,7 +489,10 @@ void Fabric::deliver_packet(Packet packet, sim::Duration extra_delay) {
     }
     note_delivered(packet, delay, sim_.now());
     host->deliver(packet);
-  });
+  };
+  static_assert(sim::SmallCallable::stores_inline<decltype(deliver)>,
+                "a packet delivery must not allocate per packet");
+  sim_.after(delay, std::move(deliver));
 }
 
 }  // namespace ofh::net

@@ -35,14 +35,16 @@ struct Packet {
   // is_spoofed / is_masscan annotations).
   bool spoofed_src = false;
   bool from_masscan = false;
+  // Set on copies created by the fault injector's duplication fault so a
+  // duplicate is never duplicated again (net/faults.h). Kept with the other
+  // flags so Packet stays 56 bytes and a delivery closure stays inline in
+  // the event arena (Fabric::deliver_packet).
+  bool fault_copy = false;
   // Causal id minted by the originating probe (obs/trace.h); 0 means
   // unattributed. Adopted from the ambient TraceContext at Fabric::send and
   // re-published while the receiving host handles the packet, so responses
   // and follow-on traffic inherit the originating probe's id.
   std::uint64_t trace_id = 0;
-  // Set on copies created by the fault injector's duplication fault so a
-  // duplicate is never duplicated again (net/faults.h).
-  bool fault_copy = false;
   util::Bytes payload;
 
   bool has_flag(std::uint8_t flag) const { return (tcp_flags & flag) != 0; }

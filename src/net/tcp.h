@@ -9,6 +9,7 @@
 #include <memory>
 #include <span>
 #include <unordered_map>
+#include <vector>
 
 #include "net/packet.h"
 #include "sim/time.h"
@@ -22,8 +23,9 @@ class TcpStack;
 
 class TcpConnection {
  public:
+  // An active open gets a connection object only once its SYN|ACK
+  // arrives; until then TcpStack holds a SynSent record for it.
   enum class State : std::uint8_t {
-    kSynSent,
     kSynReceived,
     kEstablished,
     kClosed,
@@ -63,10 +65,6 @@ class TcpConnection {
   ConnKey key_;
   TcpStack& stack_;
   State state_;
-  // Distinguishes successive connections reusing one key: deferred events
-  // (connect timeouts) capture (key, generation) and stand down when the
-  // key now names a newer incarnation.
-  std::uint64_t generation_ = 0;
   std::uint64_t trace_id_ = 0;
   sim::Time opened_at_ = 0;
   std::uint64_t bytes_sent_ = 0;
@@ -128,7 +126,10 @@ class TcpStack {
   // must re-resolve connections through this instead of holding references.
   TcpConnection* lookup(const ConnKey& key) { return find(key); }
 
-  std::size_t open_connections() const { return conns_.size(); }
+  // Connections plus active opens still awaiting an answer.
+  std::size_t open_connections() const {
+    return conns_.size() + syn_sent_.size();
+  }
 
   // Limits half-open (SYN_RCVD) server-side entries, making SYN floods
   // observable as accept-queue exhaustion.
@@ -140,7 +141,7 @@ class TcpStack {
   // it. Listeners survive: restarted firmware brings its services back up.
   // Deferred timers holding (key, generation) find nothing and stand down.
   void reset_connections() {
-    pending_connects_.clear();
+    syn_sent_.clear();
     conns_.clear();
   }
 
@@ -153,9 +154,58 @@ class TcpStack {
  private:
   friend class TcpConnection;
 
-  void send_flags(const ConnKey& key, std::uint8_t flags);
-  void send_data(const ConnKey& key, util::Bytes data);
-  void erase(const ConnKey& key);
+  // An active open awaiting its answer (SYN_SENT). Like ZMap, the stack
+  // keeps only this record per unanswered probe: the TcpConnection is
+  // built when the SYN|ACK arrives, and an RST or the timeout resolves the
+  // open from the record alone.
+  struct SynSent {
+    // Distinguishes successive opens reusing one key: the connect timeout
+    // captures (key, generation) and stands down when the key now names a
+    // newer open, or none.
+    std::uint64_t generation = 0;
+    std::uint64_t trace_id = 0;
+    sim::Time opened_at = 0;
+    ConnectOutcomeHandler handler;
+  };
+
+  // ConnKey -> SynSent. Open addressing with linear probing and
+  // backward-shift deletion over 16-byte slots, kept at most half full;
+  // the records sit in a dense vector with a free list, so a slot never
+  // carries a record's bytes. Never iterated, so no order can leak.
+  class SynSentTable {
+   public:
+    std::size_t size() const { return size_; }
+    SynSent* find(const ConnKey& key);
+    // Adds a record for a key that has none; the reference is valid until
+    // the next insert.
+    SynSent& insert(const ConnKey& key);
+    // Removes the key's record and returns its handler.
+    ConnectOutcomeHandler take(const ConnKey& key);
+    void clear();
+
+   private:
+    static constexpr std::uint32_t kEmpty = 0xffffffffU;
+    static constexpr std::size_t kInitialSlots = 8;
+    struct Slot {
+      ConnKey key;
+      std::uint32_t record = kEmpty;
+    };
+
+    std::size_t home(const ConnKey& key) const;
+    std::size_t slot_of(const ConnKey& key) const;  // slots_.size() if absent
+    std::size_t free_slot(const ConnKey& key) const;  // first empty probe slot
+    void grow();
+
+    std::vector<Slot> slots_;  // power-of-two size, or empty
+    std::vector<SynSent> records_;
+    std::vector<std::uint32_t> free_records_;
+    std::size_t size_ = 0;
+  };
+
+  void send_flags(const ConnKey& key, std::uint8_t flags,
+                  std::uint64_t trace_id);
+  void send_data(const ConnKey& key, util::Bytes data, std::uint64_t trace_id);
+  void erase(const ConnKey& key) { conns_.erase(key); }
   TcpConnection* find(const ConnKey& key) {
     const auto it = conns_.find(key);
     return it == conns_.end() ? nullptr : it->second.get();
@@ -164,10 +214,10 @@ class TcpStack {
 
   Host& host_;
   std::unordered_map<std::uint16_t, AcceptHandler> listeners_;
+  // A key is in at most one of conns_ and syn_sent_.
   std::unordered_map<ConnKey, std::unique_ptr<TcpConnection>, ConnKeyHash>
       conns_;
-  std::unordered_map<ConnKey, ConnectOutcomeHandler, ConnKeyHash>
-      pending_connects_;
+  SynSentTable syn_sent_;
   std::uint64_t next_generation_ = 0;
   std::uint16_t next_ephemeral_ = 32768;
   std::size_t backlog_limit_ = kDefaultBacklogLimit;

@@ -178,7 +178,7 @@ void Scanner::pump(std::shared_ptr<Sweep> sweep) {
     if (sweep->blocked(target)) continue;
     probe(sweep, target);
   }
-  sim().after(sweep->config.tick, [this, sweep] { pump(sweep); });
+  sim().after_fixed(sweep->config.tick, [this, sweep] { pump(sweep); });
 }
 
 void Scanner::probe(std::shared_ptr<Sweep> sweep, util::Ipv4Addr target) {
@@ -345,8 +345,8 @@ void Scanner::probe_tcp(std::shared_ptr<Sweep> sweep,
         // Resolve the probe at the end of the banner window.
         const net::ConnKey key{conn->local_port(), conn->remote_addr(),
                                conn->remote_port()};
-        sim().after(sweep->config.banner_wait,
-                    [this, sweep, outcome, target, port, collected, key] {
+        sim().after_fixed(sweep->config.banner_wait,
+                          [this, sweep, outcome, target, port, collected, key] {
                       net::TcpConnection* live = tcp().lookup(key);
                       if (live != nullptr) live->abort();
                       ScanRecord record;
@@ -392,8 +392,8 @@ void Scanner::probe_udp(std::shared_ptr<Sweep> sweep, util::Ipv4Addr target,
 
   send_udp_stimulus(*sweep, target, port);
 
-  sim().after(sweep->config.banner_wait,
-              [this, sweep, target, port, probe_trace_id, attempt] {
+  sim().after_fixed(sweep->config.banner_wait,
+                    [this, sweep, target, port, probe_trace_id, attempt] {
     const auto it = sweep->udp_waiting.find(target.value());
     std::string raw = it == sweep->udp_waiting.end() ? "" : it->second;
     sweep->udp_waiting.erase(target.value());
@@ -450,8 +450,8 @@ void Scanner::probe_udp(std::shared_ptr<Sweep> sweep, util::Ipv4Addr target,
           udp().send(target, port, proto::coap::encode(follow),
                      sweep->udp_port);
         }
-        sim().after(sweep->config.banner_wait,
-                    [this, sweep, target, port, banner] {
+        sim().after_fixed(sweep->config.banner_wait,
+                          [this, sweep, target, port, banner] {
                       const auto follow_it =
                           sweep->udp_waiting.find(target.value());
                       std::string follow_raw = follow_it ==

@@ -35,6 +35,14 @@ class Simulation {
 
   void after(Duration d, Action action) { at(now_ + d, std::move(action)); }
 
+  // Same order as after(d, action), without heap work: the event goes to a
+  // FIFO lane kept for this exact delay (sim/event_queue.h). Use it for
+  // timers whose delay is one fixed value across many events, such as a
+  // sweep's connect timeout; delays that vary per event belong in after().
+  void after_fixed(Duration d, Action action) {
+    queue_.push_fixed(d, now_ + d, next_seq_++, std::move(action));
+  }
+
   // Runs until the queue drains.
   void run() {
     while (step()) {

@@ -14,9 +14,18 @@ namespace ofh::sim {
 
 class SmallCallable {
  public:
-  // Sized to hold the largest hot-path closure (banner-window resolution:
-  // this + shared_ptr + shared_ptr + ConnKey + address/port) inline.
-  static constexpr std::size_t kInlineSize = 64;
+  // Sized to hold the largest hot-path closure inline: the fabric's packet
+  // delivery (this + delay + a 56-byte net::Packet = 72 bytes). With the
+  // max_align_t alignment and the ops pointer the object is 80 bytes, the
+  // same as with a 64-byte buffer, so arena nodes do not grow.
+  static constexpr std::size_t kInlineSize = 72;
+
+  // True when a closure of type F lives inside the object; false means
+  // every construction allocates. Hot paths static_assert on it.
+  template <typename F>
+  static constexpr bool stores_inline =
+      sizeof(std::decay_t<F>) <= kInlineSize &&
+      alignof(std::decay_t<F>) <= alignof(std::max_align_t);
 
   SmallCallable() noexcept = default;
 
@@ -27,8 +36,7 @@ class SmallCallable {
   // NOLINTNEXTLINE(google-explicit-constructor): drop-in for std::function.
   SmallCallable(F&& fn) {
     using Fn = std::decay_t<F>;
-    if constexpr (sizeof(Fn) <= kInlineSize &&
-                  alignof(Fn) <= alignof(std::max_align_t)) {
+    if constexpr (stores_inline<Fn>) {
       ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(fn));
       ops_ = &inline_ops<Fn>;
     } else {

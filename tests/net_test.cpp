@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "net/fabric.h"
 #include "net/host.h"
 #include "test_helpers.h"
@@ -380,6 +382,124 @@ TEST_F(NetTest, StaleConnectTimeoutDoesNotFireOnReusedKey) {
   EXPECT_EQ(callbacks, 1);
   EXPECT_EQ(second_outcome, ConnectOutcome::kTimeout);
   EXPECT_GE(resolved_at, sim::seconds(11));
+}
+
+TEST_F(NetTest, ManyOpensToOnePeerResolveInScrambledOrder) {
+  // Every open targets one silent (dst, port), so the keys differ only in
+  // the local port. RSTs for the even-numbered opens arrive in a scrambled
+  // order, so entries leave the SYN_SENT table from the middle of its probe
+  // runs; the odd-numbered survivors must still be found by their timeouts.
+  PlainHost client(Ipv4Addr(10, 0, 0, 2));
+  client.attach(fabric_);
+  const Ipv4Addr peer(10, 0, 0, 1);  // no host: every SYN is lost
+
+  constexpr int kOpens = 2'000;
+  constexpr std::uint16_t kFirstPort = 40'000;
+  client.tcp().set_next_ephemeral(kFirstPort);
+  std::vector<int> refused_order;
+  std::vector<int> outcomes(kOpens, -1);
+  for (int i = 0; i < kOpens; ++i) {
+    client.tcp().connect_ex(
+        peer, 81,
+        [&, i](TcpConnection* conn, ConnectOutcome outcome) {
+          EXPECT_EQ(conn, nullptr);
+          EXPECT_EQ(outcomes[i], -1) << "open " << i << " resolved twice";
+          outcomes[i] = static_cast<int>(outcome);
+          if (outcome == ConnectOutcome::kRefused) refused_order.push_back(i);
+        },
+        sim::seconds(3));
+  }
+  EXPECT_EQ(client.tcp().open_connections(), std::size_t{kOpens});
+
+  std::vector<int> rst_order;
+  for (int k = 0; k < kOpens / 2; ++k) {
+    rst_order.push_back(2 * ((k * 617) % (kOpens / 2)));  // 617 is prime
+    Packet rst;
+    rst.src = peer;
+    rst.dst = client.address();
+    rst.src_port = 81;
+    rst.dst_port = static_cast<std::uint16_t>(kFirstPort + rst_order.back());
+    rst.tcp_flags = TcpFlags::kRst;
+    fabric_.send(std::move(rst));
+  }
+  run(sim::seconds(1));
+  EXPECT_EQ(refused_order, rst_order);
+  EXPECT_EQ(client.tcp().open_connections(), std::size_t{kOpens / 2});
+
+  run();
+  for (int i = 0; i < kOpens; ++i) {
+    const ConnectOutcome expected =
+        i % 2 == 0 ? ConnectOutcome::kRefused : ConnectOutcome::kTimeout;
+    EXPECT_EQ(outcomes[i], static_cast<int>(expected)) << "open " << i;
+  }
+  EXPECT_EQ(client.tcp().open_connections(), 0u);
+}
+
+TEST_F(NetTest, SynForKeyInSynSentIsAnsweredWithRst) {
+  // Simultaneous open: each side's SYN reaches a key the other holds in
+  // SYN_SENT. Both listen on the target port, so only the SYN_SENT entry
+  // can cause the refusal; neither side may accept.
+  PlainHost a(Ipv4Addr(10, 0, 0, 1));
+  PlainHost b(Ipv4Addr(10, 0, 0, 2));
+  a.attach(fabric_);
+  b.attach(fabric_);
+  int accepts = 0;
+  a.tcp().listen(40'000, [&accepts](TcpConnection&) { ++accepts; });
+  b.tcp().listen(80, [&accepts](TcpConnection&) { ++accepts; });
+
+  a.tcp().set_next_ephemeral(40'000);
+  b.tcp().set_next_ephemeral(80);
+  std::vector<ConnectOutcome> outcomes;
+  const auto record = [&outcomes](TcpConnection* conn,
+                                  ConnectOutcome outcome) {
+    EXPECT_EQ(conn, nullptr);
+    outcomes.push_back(outcome);
+  };
+  a.tcp().connect_ex(b.address(), 80, record);     // key (40000, b, 80)
+  b.tcp().connect_ex(a.address(), 40'000, record);  // key (80, a, 40000)
+  run();
+
+  EXPECT_EQ(outcomes, (std::vector<ConnectOutcome>{ConnectOutcome::kRefused,
+                                                   ConnectOutcome::kRefused}));
+  EXPECT_EQ(accepts, 0);
+  EXPECT_EQ(a.tcp().open_connections(), 0u);
+  EXPECT_EQ(b.tcp().open_connections(), 0u);
+}
+
+TEST_F(NetTest, ResetConnectionsDropsPendingOpensSilently) {
+  PlainHost client(Ipv4Addr(10, 0, 0, 2));
+  client.attach(fabric_);
+  int callbacks = 0;
+  client.tcp().set_next_ephemeral(40'000);
+  for (int i = 0; i < 8; ++i) {
+    client.tcp().connect_ex(
+        Ipv4Addr(10, 9, 9, 9), 80,
+        [&callbacks](TcpConnection*, ConnectOutcome) { ++callbacks; },
+        sim::seconds(5));
+  }
+  run(sim::seconds(1));
+  ASSERT_EQ(client.tcp().open_connections(), 8u);
+
+  client.tcp().reset_connections();  // power loss: no handler may run
+  EXPECT_EQ(client.tcp().open_connections(), 0u);
+
+  // Reuse the first open's key; the eight stale timers firing at t=5s must
+  // stand down, and this open must run its own 10s timeout exactly once.
+  client.tcp().set_next_ephemeral(40'000);
+  sim::Time resolved_at = 0;
+  client.tcp().connect_ex(
+      Ipv4Addr(10, 9, 9, 9), 80,
+      [&](TcpConnection* conn, ConnectOutcome outcome) {
+        ++callbacks;
+        EXPECT_EQ(conn, nullptr);
+        EXPECT_EQ(outcome, ConnectOutcome::kTimeout);
+        resolved_at = sim_.now();
+      },
+      sim::seconds(10));
+  run();
+  EXPECT_EQ(callbacks, 1);
+  EXPECT_EQ(resolved_at, sim::seconds(11));
+  EXPECT_EQ(client.tcp().open_connections(), 0u);
 }
 
 TEST_F(NetTest, PacketWireSizeIncludesPayload) {

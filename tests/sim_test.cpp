@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -161,6 +163,80 @@ TEST(Simulation, RandomInsertionFiresInTimeOrderWithFifoTies) {
       ASSERT_LT(fired[i - 1].second, fired[i].second);  // FIFO ties
     }
   }
+}
+
+TEST(Simulation, FixedDelayLanesCountAsPending) {
+  Simulation sim;
+  std::vector<int> order;
+  sim.after_fixed(5, [&] { order.push_back(1); });
+  sim.after_fixed(5, [&] { order.push_back(2); });
+  sim.after_fixed(9, [&] { order.push_back(3); });
+  sim.after(5, [&] { order.push_back(4); });  // ties with 1 and 2: FIFO
+  EXPECT_EQ(sim.pending(), 4u);
+  sim.run_until(5);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 4}));
+  EXPECT_EQ(sim.pending(), 1u);
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 4, 3}));
+  EXPECT_EQ(sim.pending(), 0u);
+}
+
+// One seeded schedule run through after() only, or with its fixed-delay
+// events through after_fixed(). Events fire, log (time, id) and sometimes
+// schedule children; between run_until deadlines the test schedules more
+// from outside any event and logs pending().
+struct MixedScheduleLog {
+  std::vector<std::pair<Time, int>> fired;
+  std::vector<std::size_t> pending;
+};
+
+MixedScheduleLog run_mixed_schedule(bool use_lanes) {
+  constexpr std::array<Duration, 4> kFixedDelays = {0, 3, 7, 20};
+  Simulation sim;
+  MixedScheduleLog log;
+  int next_id = 0;
+  std::function<void(util::Rng&)> schedule = [&](util::Rng& rng) {
+    const int id = next_id++;
+    auto action = [&sim, &log, &schedule, id] {
+      log.fired.push_back({sim.now(), id});
+      util::Rng child(static_cast<std::uint64_t>(id));
+      if (child.below(3) == 0) {
+        schedule(child);
+        schedule(child);
+      }
+    };
+    if (rng.below(2) == 0) {
+      const Duration delay = kFixedDelays[rng.below(kFixedDelays.size())];
+      if (use_lanes) {
+        sim.after_fixed(delay, std::move(action));
+      } else {
+        sim.after(delay, std::move(action));
+      }
+    } else {
+      sim.after(rng.below(25), std::move(action));  // jittered: heap only
+    }
+  };
+
+  util::Rng rng(11);
+  for (Time deadline = 0; deadline <= 400; deadline += 9) {
+    for (int i = 0; i < 40; ++i) schedule(rng);
+    sim.run_until(deadline);
+    log.pending.push_back(sim.pending());
+  }
+  sim.run();
+  log.pending.push_back(sim.pending());
+  return log;
+}
+
+TEST(Simulation, FixedDelayLanesKeepHeapOrder) {
+  const MixedScheduleLog heap_only = run_mixed_schedule(false);
+  const MixedScheduleLog with_lanes = run_mixed_schedule(true);
+  ASSERT_GT(heap_only.fired.size(), 2'000u);
+  EXPECT_EQ(with_lanes.fired, heap_only.fired);
+  EXPECT_EQ(with_lanes.pending, heap_only.pending);
+  EXPECT_GT(*std::max_element(with_lanes.pending.begin(),
+                              with_lanes.pending.end()),
+            0u);
 }
 
 TEST(SmallCallable, InlineCaptureDestroyedExactlyOnce) {
