@@ -7,7 +7,9 @@
 // oversized captures (heap fallback), and the chained ping-pong that
 // dominates steady-state protocol timers. BM_KernelFixedDelayTimers shows
 // what heap depth costs: the scan's 3 s timeouts in the heap against the
-// same timeouts in a fixed-delay lane.
+// same timeouts in a fixed-delay lane. BM_TelescopeObserve is the attack
+// month's per-packet telescope cost: a pass of new flowtuples, then a pass
+// that only finds and updates them.
 //
 // BM_ParallelSweeps is the speedup experiment: six independent Telnet
 // sweeps, each on a private fabric replica, executed by ParallelRunner with
@@ -32,6 +34,7 @@
 #include "scanner/scanner.h"
 #include "sim/parallel.h"
 #include "sim/simulation.h"
+#include "telescope/telescope.h"
 #include "util/rng.h"
 
 namespace {
@@ -181,6 +184,35 @@ void BM_KernelFixedDelayTimers(benchmark::State& state, bool lanes) {
 }
 BENCHMARK_CAPTURE(BM_KernelFixedDelayTimers, after, false)->Arg(1 << 18);
 BENCHMARK_CAPTURE(BM_KernelFixedDelayTimers, after_fixed, true)->Arg(1 << 18);
+
+// The telescope's tuple store (telescope/telescope.h) at attack-month
+// shape: range(0) distinct SYNs, each its own flowtuple, then the same
+// packets again, which find their tuples and update them. Items are
+// packets over both passes, so items/s is the per-packet cost.
+void BM_TelescopeObserve(benchmark::State& state) {
+  const auto packets = static_cast<std::uint32_t>(state.range(0));
+  const auto range = *ofh::util::Cidr::parse("44.0.0.0/8");
+  ofh::net::Packet packet;
+  packet.transport = ofh::net::Transport::kTcp;
+  packet.tcp_flags = ofh::net::TcpFlags::kSyn;
+  packet.dst_port = 23;
+  for (auto _ : state) {
+    ofh::telescope::Telescope telescope(range);
+    for (int pass = 0; pass < 2; ++pass) {
+      for (std::uint32_t i = 0; i < packets; ++i) {
+        const std::uint64_t h = ofh::util::splitmix64(i);
+        packet.src = ofh::util::Ipv4Addr(i * 2'654'435'761u);  // distinct
+        packet.dst = ofh::util::Ipv4Addr(44u << 24 | (h & 0xffffff));
+        packet.src_port = static_cast<std::uint16_t>(h >> 32);
+        telescope.observe(packet, ofh::sim::seconds(i % 3600));
+      }
+    }
+    benchmark::DoNotOptimize(telescope.tuple_count());
+  }
+  state.SetItemsProcessed(state.iterations() * 2 *
+                          static_cast<std::int64_t>(packets));
+}
+BENCHMARK(BM_TelescopeObserve)->Arg(1 << 21)->Unit(benchmark::kMillisecond);
 
 // One Telnet sweep over a /24 with 200 devices on a private replica.
 std::size_t run_sweep_shard(int shard) {

@@ -5,9 +5,8 @@
 // scanning-service vs suspicious classification).
 #pragma once
 
-#include <map>
-#include <set>
-#include <unordered_map>
+#include <array>
+#include <cstdint>
 #include <vector>
 
 #include "net/fabric.h"
@@ -35,12 +34,11 @@ class Telescope : public net::PacketSink {
   void observe_aggregate(const net::Packet& packet, sim::Time when,
                          std::uint64_t count);
 
-  // All tuples, sorted by (minute, src, dst, ports, transport). The store
-  // is an unordered_map for the per-packet hot path; this export is the
-  // only place its contents leave the class wholesale, and the sort is
-  // what keeps every downstream table byte-identical (tests/telescope_test
-  // proves insertion-order independence, tests/parallel_test proves
-  // byte-identical reports at any scan_threads).
+  // All tuples, sorted by (minute, src, dst, ports, transport): a copy of
+  // the first-seen-order store, so the sequence never depends on arrival
+  // order (tests/telescope_test proves insertion-order independence). No
+  // study phase reads it — Table 8 comes from the per-protocol aggregates
+  // below; it feeds the tests and flowtuples_to_csv (telescope/rsdos.h).
   std::vector<FlowTuple> tuples() const;
   std::size_t tuple_count() const { return tuples_.size(); }
 
@@ -67,14 +65,9 @@ class Telescope : public net::PacketSink {
     std::uint32_t dst;
     std::uint32_t ports;  // src<<16|dst
     std::uint8_t transport;
-    auto operator<=>(const TupleKey&) const = default;
     bool operator==(const TupleKey&) const = default;
   };
-  // The telescope sees every flood/backscatter packet (Table 8 is 2.7B
-  // requests/day at paper scale), so the per-packet lookup must be O(1):
-  // an ordered map's log-n pointer chase dominated Telescope::observe.
-  // Determinism is preserved at the export boundary — tuples() sorts by
-  // key — never by relying on iteration order here.
+  static TupleKey key_of(const FlowTuple& tuple);
   struct TupleKeyHash {
     std::size_t operator()(const TupleKey& key) const {
       std::uint64_t h = util::splitmix64(
@@ -84,10 +77,35 @@ class Telescope : public net::PacketSink {
     }
   };
 
+  // The index slot holding `key`'s tuple, or the empty slot it belongs in.
+  std::size_t find_slot(const TupleKey& key) const;
+  // Doubles the index and re-inserts every tuple from the dense store.
+  void grow_index();
+
+  // protocol_for_port only ever yields the first six protocols.
+  static constexpr std::size_t kTrackedProtocols =
+      static_cast<std::size_t>(proto::Protocol::kUpnp) + 1;
+  // Sorts and deduplicates a protocol's source run if anything was
+  // appended since its last compaction, then returns it.
+  const std::vector<std::uint32_t>& compacted_sources(std::size_t index) const;
+
   util::Cidr range_;
-  std::unordered_map<TupleKey, FlowTuple, TupleKeyHash> tuples_;
-  std::map<proto::Protocol, std::uint64_t> packets_by_protocol_;
-  std::map<proto::Protocol, std::set<std::uint32_t>> sources_by_protocol_;
+  // The telescope sees every flood/backscatter packet (Table 8 is 2.7B
+  // requests/day at paper scale), so the per-packet lookup is one probe
+  // sequence in a flat open-addressing index: `index_` (power-of-two size,
+  // at most half full, linear probing, never deletes) holds a tuple's
+  // position in `tuples_` plus one, 0 for an empty slot. `tuples_` keeps
+  // first-seen order; tuples() sorts a copy, so determinism never rests on
+  // the store's layout.
+  std::vector<FlowTuple> tuples_;
+  std::vector<std::uint32_t> index_;
+  std::array<std::uint64_t, kTrackedProtocols> packets_by_protocol_{};
+  // One source run per tracked protocol: addresses are appended, and the
+  // run is compacted (sorted, deduplicated) once it doubles past its last
+  // compacted size, and before every read. `compacted_` is that size.
+  mutable std::array<std::vector<std::uint32_t>, kTrackedProtocols>
+      sources_by_protocol_;
+  mutable std::array<std::size_t, kTrackedProtocols> compacted_{};
   std::uint64_t total_packets_ = 0;
   std::uint64_t spoofed_packets_ = 0;
   std::uint64_t masscan_packets_ = 0;

@@ -453,7 +453,7 @@ TEST(ObsStudy, FullRunReconcilesEventAndTelescopeTotals) {
   EXPECT_EQ(value_of("telescope.spoofed_packets"),
             static_cast<std::int64_t>(study.scope().spoofed_packets()));
   EXPECT_EQ(value_of("telescope.flowtuples"),
-            static_cast<std::int64_t>(study.scope().tuples().size()));
+            static_cast<std::int64_t>(study.scope().tuple_count()));
   EXPECT_EQ(value_of("telescope.rsdos_backscatter"),
             static_cast<std::int64_t>(study.rsdos().backscatter_packets()));
 

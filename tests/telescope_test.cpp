@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 #include <tuple>
+#include <vector>
 
 #include "telescope/telescope.h"
 #include "test_helpers.h"
@@ -54,12 +56,6 @@ TEST(Telescope, AggregatesRepeatedPacketsIntoOneTuplePerMinute) {
   EXPECT_EQ(tuples[0].byte_count, 2 * packet.wire_size());
 }
 
-// Regression test for the ofh-lint burn-down's ordering fix: the tuple
-// store is an unordered_map (O(1) per-packet hot path), so the export must
-// sort by key or Table 8 would depend on hash-table iteration order. Feed
-// the same flows in opposite orders and demand byte-identical sequences —
-// the same contract tests/parallel_test proves end-to-end for the full
-// study's reports at scan_threads 1/2/8/hardware.
 TEST(Telescope, AggregateCountsPastFourBillionDoNotWrap) {
   // Flow-level aggregation plants more packets in one call than a 32-bit
   // counter holds (paper scale: 2.7e9/day); every downstream total must
@@ -79,6 +75,11 @@ TEST(Telescope, AggregateCountsPastFourBillionDoNotWrap) {
   EXPECT_EQ(telescope.unique_sources_for(proto::Protocol::kTelnet), 1u);
 }
 
+// The tuple store keeps first-seen order, so the export must sort by key
+// or it would depend on arrival order. Feed the same flows in opposite
+// orders and demand identical sequences — the same contract
+// tests/parallel_test proves end-to-end for the full study's reports at
+// scan_threads 1/2/8/hardware.
 TEST(Telescope, TupleExportIsInsertionOrderIndependent) {
   const auto flows = [](Telescope& telescope, bool reversed) {
     std::vector<net::Packet> packets;
@@ -124,11 +125,70 @@ TEST(Telescope, TupleExportIsInsertionOrderIndependent) {
   }
 }
 
-TEST(Telescope, DistinguishesFlowsByPorts) {
+// Every key field on its own splits a flow: two packets that differ in
+// exactly one of (minute, src, dst, src_port, dst_port, transport) land in
+// two tuples, and a repeat of either (later in the same minute) finds its
+// own tuple again.
+TEST(Telescope, DistinguishesFlowsByEveryKeyField) {
+  const auto base = syn(Ipv4Addr(1), Ipv4Addr(44 << 24 | 1), 23, 1000);
+  const sim::Time base_when = sim::seconds(5);
+  struct Case {
+    const char* field;
+    net::Packet packet;
+    sim::Time when;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"minute", base, base_when + sim::minutes(1)});
+  cases.push_back({"src", base, base_when});
+  cases.back().packet.src = Ipv4Addr(2);
+  cases.push_back({"dst", base, base_when});
+  cases.back().packet.dst = Ipv4Addr(44 << 24 | 2);
+  cases.push_back({"src_port", base, base_when});
+  cases.back().packet.src_port = 1001;
+  cases.push_back({"dst_port", base, base_when});
+  cases.back().packet.dst_port = 24;
+  cases.push_back({"transport", base, base_when});
+  cases.back().packet.transport = net::Transport::kUdp;
+
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.field);
+    Telescope telescope(*util::Cidr::parse("44.0.0.0/8"));
+    telescope.observe(base, base_when);
+    telescope.observe(c.packet, c.when);
+    telescope.observe(base, base_when + sim::seconds(30));
+    telescope.observe(c.packet, c.when + sim::seconds(30));
+    ASSERT_EQ(telescope.tuple_count(), 2u);
+    for (const auto& tuple : telescope.tuples()) {
+      EXPECT_EQ(tuple.packet_count, 2u);
+    }
+  }
+}
+
+// 50,000 distinct tuples force the flat index through many growths; a
+// second pass in reverse order must find every one of them again.
+TEST(Telescope, IndexGrowthKeepsEveryTupleFindable) {
+  constexpr std::uint32_t kTuples = 50'000;
+  const auto packet_for = [](std::uint32_t i) {
+    return syn(Ipv4Addr(i * 2'654'435'761u), Ipv4Addr(44 << 24 | i),
+               i % 2 == 0 ? 23 : 1883, static_cast<std::uint16_t>(i));
+  };
+  const auto when_for = [](std::uint32_t i) { return sim::minutes(i % 7); };
+
   Telescope telescope(*util::Cidr::parse("44.0.0.0/8"));
-  telescope.observe(syn(Ipv4Addr(1), Ipv4Addr(44 << 24 | 1), 23, 1000), 0);
-  telescope.observe(syn(Ipv4Addr(1), Ipv4Addr(44 << 24 | 1), 23, 1001), 0);
-  EXPECT_EQ(telescope.tuples().size(), 2u);
+  for (std::uint32_t i = 0; i < kTuples; ++i) {
+    telescope.observe(packet_for(i), when_for(i));
+  }
+  ASSERT_EQ(telescope.tuple_count(), kTuples);
+  for (std::uint32_t i = kTuples; i-- > 0;) {
+    telescope.observe(packet_for(i), when_for(i));
+  }
+  EXPECT_EQ(telescope.tuple_count(), kTuples);
+  EXPECT_EQ(telescope.total_packets(), 2u * kTuples);
+  const auto tuples = telescope.tuples();
+  ASSERT_EQ(tuples.size(), kTuples);
+  for (const auto& tuple : tuples) {
+    ASSERT_EQ(tuple.packet_count, 2u) << tuple.src.value();
+  }
 }
 
 TEST(Telescope, TracksProtocolsAndUniqueSources) {
@@ -143,6 +203,70 @@ TEST(Telescope, TracksProtocolsAndUniqueSources) {
   EXPECT_EQ(telescope.packets_for(proto::Protocol::kMqtt), 1u);
   EXPECT_EQ(telescope.all_sources().size(), 3u);
   EXPECT_EQ(telescope.unique_sources_for(proto::Protocol::kCoap), 0u);
+}
+
+// The per-protocol source runs are append-only between compactions; every
+// reader must see sorted, unique addresses whether the run was compacted
+// by the reader itself (few sources) or on the way in (many), and after
+// more appends land behind a compacted prefix.
+TEST(Telescope, SourcesAreSortedAndUniqueAcrossCompactions) {
+  Telescope telescope(*util::Cidr::parse("44.0.0.0/8"));
+  std::set<std::uint32_t> telnet;
+  std::set<std::uint32_t> mqtt;
+  const auto feed = [&](std::uint32_t first, std::uint32_t last,
+                        std::uint32_t distinct) {
+    for (std::uint32_t i = first; i < last; ++i) {
+      const std::uint32_t src = 1 + util::splitmix64(i) % distinct;
+      const bool to_mqtt = i % 3 == 0;
+      telescope.observe(
+          syn(Ipv4Addr(src), Ipv4Addr(44 << 24 | i), to_mqtt ? 1883 : 23), 0);
+      (to_mqtt ? mqtt : telnet).insert(src);
+    }
+  };
+  const auto expect_sources = [&] {
+    std::vector<Ipv4Addr> expected_telnet(telnet.begin(), telnet.end());
+    std::vector<Ipv4Addr> expected_mqtt(mqtt.begin(), mqtt.end());
+    std::set<std::uint32_t> both = telnet;
+    both.insert(mqtt.begin(), mqtt.end());
+    std::vector<Ipv4Addr> expected_all(both.begin(), both.end());
+    EXPECT_EQ(telescope.sources_for(proto::Protocol::kTelnet), expected_telnet);
+    EXPECT_EQ(telescope.sources_for(proto::Protocol::kMqtt), expected_mqtt);
+    EXPECT_EQ(telescope.all_sources(), expected_all);
+    EXPECT_EQ(telescope.unique_sources_for(proto::Protocol::kTelnet),
+              telnet.size());
+  };
+
+  feed(0, 40, 16);  // few appends: compacted only when read
+  {
+    SCOPED_TRACE("compacted by the reader");
+    expect_sources();
+  }
+  feed(40, 20'000, 3'000);  // past the compaction threshold on the way in
+  {
+    SCOPED_TRACE("compacted while observing");
+    expect_sources();
+  }
+  feed(20'000, 20'050, 5'000);  // a fresh tail behind a compacted prefix
+  {
+    SCOPED_TRACE("tail merged into a compacted run");
+    expect_sources();
+  }
+}
+
+// protocol_for_port maps nothing to the six untracked protocols, so the
+// telescope counts their packets in the totals but in no protocol row.
+TEST(Telescope, UntrackedProtocolsHaveNoPacketsOrSources) {
+  Telescope telescope(*util::Cidr::parse("44.0.0.0/8"));
+  telescope.observe(syn(Ipv4Addr(1), Ipv4Addr(44 << 24 | 1), 22), 0);
+  telescope.observe(syn(Ipv4Addr(2), Ipv4Addr(44 << 24 | 2), 23), 0);
+  EXPECT_EQ(telescope.total_packets(), 2u);
+  EXPECT_EQ(telescope.tuple_count(), 2u);
+  for (const auto protocol : {proto::Protocol::kSsh, proto::Protocol::kS7}) {
+    EXPECT_EQ(telescope.packets_for(protocol), 0u);
+    EXPECT_EQ(telescope.unique_sources_for(protocol), 0u);
+    EXPECT_TRUE(telescope.sources_for(protocol).empty());
+  }
+  EXPECT_EQ(telescope.all_sources(), std::vector<Ipv4Addr>{Ipv4Addr(2)});
 }
 
 TEST(Telescope, DailyAverage) {
