@@ -27,6 +27,11 @@ cmake --build --preset ci -j "$(nproc)"
 ctest --test-dir build-ci --output-on-failure -j "$(nproc)" \
   -LE 'scenario|experiment'
 
+# The study benchmark harness's own tests (quartiles, spread, the digest and
+# exact-count checker): pure Python, no build needed.
+echo "==> study benchmark harness tests"
+python3 -m unittest discover -s studybench -p 'test_*.py'
+
 # Scenario corpus (tests/scenarios/*.ofh): each file runs the full study at
 # scan_threads 1/2/8 and must emit byte-identical reports before its regexp
 # expectations are checked. Serial on purpose: the sweep inside each case is

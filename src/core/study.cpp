@@ -434,8 +434,14 @@ void Study::run_scan() {
     }
   }
   if (!dispatched) {
+    // A sweep's cost is its ports per target: the two-port Telnet and XMPP
+    // shards are the longest, so they go to the pool first and the scan
+    // ends with its longest shard. Results still come back in job-index
+    // order, so the bytes do not depend on this.
     std::vector<std::function<ScanShardResult()>> jobs;
+    std::vector<std::uint64_t> costs;
     jobs.reserve(shard_jobs.size());
+    costs.reserve(shard_jobs.size());
     for (const ScanShardJob& job : shard_jobs) {
       jobs.emplace_back([this, job, sink] {
         return run_scan_shard(config_, job,
@@ -443,9 +449,10 @@ void Study::run_scan() {
                                 sink(job.index, p);
                               });
       });
+      costs.push_back(proto::protocol_ports(job.protocol).size());
     }
-    shards =
-        sim::ParallelRunner(config_.scan_threads).run(std::move(jobs));
+    shards = sim::ParallelRunner(config_.scan_threads)
+                 .run(std::move(jobs), costs);
   }
 
   sim::Time scan_end = scan_epoch;

@@ -20,20 +20,32 @@ std::string_view protocol_name(Protocol protocol) {
   return "?";
 }
 
-std::vector<std::uint16_t> protocol_ports(Protocol protocol) {
+std::span<const std::uint16_t> protocol_ports(Protocol protocol) {
+  static constexpr std::uint16_t kTelnet[] = {23, 2323};
+  static constexpr std::uint16_t kMqtt[] = {1883};
+  static constexpr std::uint16_t kCoap[] = {5683};
+  static constexpr std::uint16_t kAmqp[] = {5672};
+  static constexpr std::uint16_t kXmpp[] = {5222, 5269};
+  static constexpr std::uint16_t kUpnp[] = {1900};
+  static constexpr std::uint16_t kSsh[] = {22};
+  static constexpr std::uint16_t kHttp[] = {80};
+  static constexpr std::uint16_t kFtp[] = {21};
+  static constexpr std::uint16_t kSmb[] = {445};
+  static constexpr std::uint16_t kModbus[] = {502};
+  static constexpr std::uint16_t kS7[] = {102};
   switch (protocol) {
-    case Protocol::kTelnet: return {23, 2323};
-    case Protocol::kMqtt: return {1883};
-    case Protocol::kCoap: return {5683};
-    case Protocol::kAmqp: return {5672};
-    case Protocol::kXmpp: return {5222, 5269};
-    case Protocol::kUpnp: return {1900};
-    case Protocol::kSsh: return {22};
-    case Protocol::kHttp: return {80};
-    case Protocol::kFtp: return {21};
-    case Protocol::kSmb: return {445};
-    case Protocol::kModbus: return {502};
-    case Protocol::kS7: return {102};
+    case Protocol::kTelnet: return kTelnet;
+    case Protocol::kMqtt: return kMqtt;
+    case Protocol::kCoap: return kCoap;
+    case Protocol::kAmqp: return kAmqp;
+    case Protocol::kXmpp: return kXmpp;
+    case Protocol::kUpnp: return kUpnp;
+    case Protocol::kSsh: return kSsh;
+    case Protocol::kHttp: return kHttp;
+    case Protocol::kFtp: return kFtp;
+    case Protocol::kSmb: return kSmb;
+    case Protocol::kModbus: return kModbus;
+    case Protocol::kS7: return kS7;
   }
   return {};
 }

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -81,9 +82,11 @@ enum class Protocol : std::uint8_t {
 
 std::string_view protocol_name(Protocol protocol);
 
-// Default port(s) per protocol. Telnet scans cover both 23 and 2323 (the
-// paper's explanation for finding more hosts than Project Sonar).
-std::vector<std::uint16_t> protocol_ports(Protocol protocol);
+// Default port(s) per protocol, a view of static storage: the scanner
+// reads it once per probe and the telescope's port map is built from it.
+// Telnet scans cover both 23 and 2323 (the paper's explanation for finding
+// more hosts than Project Sonar).
+std::span<const std::uint16_t> protocol_ports(Protocol protocol);
 std::uint16_t default_port(Protocol protocol);
 bool is_udp(Protocol protocol);
 

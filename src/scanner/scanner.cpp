@@ -1,6 +1,7 @@
 #include "scanner/scanner.h"
 
 #include <algorithm>
+#include <type_traits>
 #include <unordered_map>
 
 #include "obs/metrics.h"
@@ -171,7 +172,7 @@ void Scanner::pump(std::shared_ptr<Sweep> sweep) {
     const auto index = sweep->permutation->next();
     if (!index) {
       sweep->exhausted = true;
-      if (sweep->outstanding == 0) finish_probe(sweep);  // nothing in flight
+      if (sweep->outstanding == 0) finish_probe(*sweep);  // nothing in flight
       return;
     }
     const util::Ipv4Addr target = sweep->address_at(*index);
@@ -181,7 +182,8 @@ void Scanner::pump(std::shared_ptr<Sweep> sweep) {
   sim().after_fixed(sweep->config.tick, [this, sweep] { pump(sweep); });
 }
 
-void Scanner::probe(std::shared_ptr<Sweep> sweep, util::Ipv4Addr target) {
+void Scanner::probe(const std::shared_ptr<Sweep>& sweep,
+                    util::Ipv4Addr target) {
   ++probes_sent_;
   db_->note_probe();
   metrics().probes.inc();
@@ -203,39 +205,41 @@ void Scanner::probe(std::shared_ptr<Sweep> sweep, util::Ipv4Addr target) {
   if (proto::is_udp(sweep->config.protocol)) {
     probe_udp(sweep, target, ports.front(), /*attempt=*/1);
   } else {
-    // Multi-port protocols (Telnet 23+2323, XMPP 5222+5269) probe each port.
-    auto outcome = std::make_shared<TargetOutcome>();
-    outcome->pending = static_cast<int>(ports.size());
+    // Multi-port protocols (Telnet 23+2323, XMPP 5222+5269) probe each port;
+    // one outcome slot gathers their fates.
+    const std::uint32_t outcome = outcomes_.acquire();
+    outcomes_[outcome].pending = static_cast<int>(ports.size());
     for (const auto port : ports) {
-      probe_tcp(sweep, outcome, target, port, /*attempt=*/1);
+      const std::uint32_t slot = port_probes_.acquire();
+      port_probes_[slot] =
+          PortProbe{sweep, outcome, target, port, /*attempt=*/1, trace_id};
+      probe_tcp(slot);
     }
   }
 }
 
-void Scanner::schedule_retry(std::shared_ptr<Sweep> sweep,
-                             util::Ipv4Addr target, std::uint16_t port,
-                             std::uint32_t attempt,
-                             std::function<void()> resend) {
+sim::Duration Scanner::note_retry(const Sweep& sweep, util::Ipv4Addr target,
+                                 std::uint16_t port, std::uint32_t attempt) {
   db_->note_retries();
   metrics().retries.inc();
-  const std::uint64_t probe_trace_id = obs::current_trace_id();
-  sim().after(retry_delay(sweep->config, target, port, attempt),
-              [probe_trace_id, resend = std::move(resend)] {
-                // The retry re-sends under the original probe's causal id:
-                // it is the same probe, trying again.
-                const obs::TraceContext trace_context(probe_trace_id);
-                resend();
-              });
+  return retry_delay(sweep.config, target, port, attempt);
 }
 
-void Scanner::port_resolved(std::shared_ptr<Sweep> sweep,
-                            std::shared_ptr<TargetOutcome> outcome) {
-  if (--outcome->pending > 0) return;
-  resolve_target(std::move(sweep), outcome->responsive, outcome->refused);
+void Scanner::port_resolved(std::uint32_t slot) {
+  // The sweep outlives its last port probe: this holds it until the target
+  // is booked and, if that was the sweep's last one, `done` has run.
+  const std::shared_ptr<Sweep> sweep = std::move(port_probes_[slot].sweep);
+  const std::uint32_t outcome_slot = port_probes_[slot].outcome;
+  port_probes_.release(slot);
+  TargetOutcome& outcome = outcomes_[outcome_slot];
+  if (--outcome.pending > 0) return;
+  const bool responsive = outcome.responsive;
+  const bool refused = outcome.refused;
+  outcomes_.release(outcome_slot);
+  resolve_target(*sweep, responsive, refused);
 }
 
-void Scanner::resolve_target(std::shared_ptr<Sweep> sweep, bool responsive,
-                             bool refused) {
+void Scanner::resolve_target(Sweep& sweep, bool responsive, bool refused) {
   if (responsive) {
     db_->note_responsive();
     metrics().responsive.inc();
@@ -246,120 +250,128 @@ void Scanner::resolve_target(std::shared_ptr<Sweep> sweep, bool responsive,
     db_->note_unresolved();
     metrics().unresolved.inc();
   }
-  finish_probe(std::move(sweep));
+  finish_probe(sweep);
 }
 
-void Scanner::probe_tcp(std::shared_ptr<Sweep> sweep,
-                        std::shared_ptr<TargetOutcome> outcome,
-                        util::Ipv4Addr target, std::uint16_t port,
-                        std::uint32_t attempt) {
-  const proto::Protocol protocol = sweep->config.protocol;
-  // The probe's causal id, re-published around retries: the connect
-  // timeout fires from a bare timer where no context is ambient.
-  const std::uint64_t probe_trace_id = obs::current_trace_id();
+void Scanner::probe_tcp(std::uint32_t slot) {
+  const PortProbe& probe = port_probes_[slot];
+  // The handler names the probe by slot, so libstdc++'s std::function (two
+  // pointers of local storage) keeps it inside the SynSent record.
+  const auto handler = [this, slot](net::TcpConnection* conn,
+                                    net::ConnectOutcome result) {
+    on_connect(slot, conn, result);
+  };
+  static_assert(sizeof(handler) <= 2 * sizeof(void*) &&
+                    std::is_trivially_copyable_v<decltype(handler)>,
+                "the connect handler must fit std::function's local storage");
+  tcp().connect_ex(probe.target, probe.port, handler,
+                   probe.sweep->config.connect_timeout);
+}
 
-  tcp().connect_ex(
-      target, port,
-      [this, sweep, outcome, target, port, protocol, attempt,
-       probe_trace_id](net::TcpConnection* conn, net::ConnectOutcome result) {
-        if (conn == nullptr) {  // refused, timed out, or filtered
-          if (result == net::ConnectOutcome::kTimeout &&
-              attempt < sweep->config.max_attempts) {
-            // A timeout is indistinguishable from loss: try again. A
-            // refusal is an answer and resolves the port immediately.
-            const obs::TraceContext trace_context(probe_trace_id);
-            schedule_retry(sweep, target, port, attempt,
-                           [this, sweep, outcome, target, port, attempt] {
-                             probe_tcp(sweep, outcome, target, port,
-                                       attempt + 1);
-                           });
-            return;
-          }
-          if (result == net::ConnectOutcome::kRefused) {
-            outcome->refused = true;
-          }
-          port_resolved(sweep, outcome);
-          return;
+void Scanner::on_connect(std::uint32_t slot, net::TcpConnection* conn,
+                         net::ConnectOutcome result) {
+  PortProbe& probe = port_probes_[slot];
+  const Sweep& sweep = *probe.sweep;
+  if (conn == nullptr) {  // refused, timed out, or filtered
+    if (result == net::ConnectOutcome::kTimeout &&
+        probe.attempt < sweep.config.max_attempts) {
+      // A timeout is indistinguishable from loss: try again, in the same
+      // slot. A refusal is an answer and resolves the port immediately.
+      const sim::Duration delay =
+          note_retry(sweep, probe.target, probe.port, probe.attempt);
+      ++probe.attempt;
+      const auto resend = [this, slot, trace_id = probe.trace_id] {
+        // The retry re-sends under the original probe's causal id: it is
+        // the same probe, trying again. The connect timeout that led here
+        // fired from a bare timer where no context is ambient.
+        const obs::TraceContext trace_context(trace_id);
+        probe_tcp(slot);
+      };
+      static_assert(sim::SmallCallable::stores_inline<decltype(resend)>);
+      sim().after(delay, resend);
+      return;
+    }
+    if (result == net::ConnectOutcome::kRefused) {
+      outcomes_[probe.outcome].refused = true;
+    }
+    port_resolved(slot);
+    return;
+  }
+  outcomes_[probe.outcome].responsive = true;
+  const proto::Protocol protocol = sweep.config.protocol;
+  // ZGrab stage: optional protocol-specific stimulus, then collect
+  // whatever arrives during the banner window.
+  auto collected = std::make_shared<std::string>();
+  switch (protocol) {
+    case proto::Protocol::kMqtt: {
+      proto::mqtt::ConnectPacket connect;
+      connect.client_id = "zgrab";
+      conn->send(proto::mqtt::encode_connect(connect));
+      break;
+    }
+    case proto::Protocol::kAmqp:
+      conn->send(proto::amqp::protocol_header());
+      break;
+    case proto::Protocol::kXmpp:
+      conn->send_text(proto::xmpp::stream_open("zgrab.scanner"));
+      break;
+    default:
+      break;  // Telnet and friends: passive banner grab
+  }
+
+  conn->on_data = [collected, protocol](net::TcpConnection&,
+                                        std::span<const std::uint8_t> data) {
+    // Decode binary-framed protocols into the textual banner forms the
+    // misconfiguration rules match on (Table 2).
+    switch (protocol) {
+      case proto::Protocol::kMqtt: {
+        const auto header = proto::mqtt::decode_fixed_header(
+            std::span<const std::uint8_t>(data));
+        if (header && header->type == proto::mqtt::PacketType::kConnack &&
+            data.size() >= header->header_size + 2) {
+          const auto code = data[header->header_size + 1];
+          *collected += "MQTT Connection Code:" + std::to_string(code);
         }
-        outcome->responsive = true;
-        // ZGrab stage: optional protocol-specific stimulus, then collect
-        // whatever arrives during the banner window.
-        auto collected = std::make_shared<std::string>();
-        switch (protocol) {
-          case proto::Protocol::kMqtt: {
-            proto::mqtt::ConnectPacket connect;
-            connect.client_id = "zgrab";
-            conn->send(proto::mqtt::encode_connect(connect));
-            break;
+        break;
+      }
+      case proto::Protocol::kAmqp: {
+        std::size_t consumed = 0;
+        const auto frame = proto::amqp::decode_frame(
+            std::span<const std::uint8_t>(data), &consumed);
+        if (frame) {
+          const auto start = proto::amqp::decode_start(frame->payload);
+          if (start) {
+            *collected += "Product: " + start->product +
+                          " Version: " + start->version + " Mechanisms:";
+            for (const auto& mechanism : start->mechanisms) {
+              *collected += " " + mechanism;
+            }
           }
-          case proto::Protocol::kAmqp:
-            conn->send(proto::amqp::protocol_header());
-            break;
-          case proto::Protocol::kXmpp:
-            conn->send_text(proto::xmpp::stream_open("zgrab.scanner"));
-            break;
-          default:
-            break;  // Telnet and friends: passive banner grab
         }
+        break;
+      }
+      default:
+        *collected += util::to_string(data);
+        break;
+    }
+  };
 
-        conn->on_data = [collected, protocol](
-                            net::TcpConnection&,
-                            std::span<const std::uint8_t> data) {
-          // Decode binary-framed protocols into the textual banner forms
-          // the misconfiguration rules match on (Table 2).
-          switch (protocol) {
-            case proto::Protocol::kMqtt: {
-              const auto header = proto::mqtt::decode_fixed_header(
-                  std::span<const std::uint8_t>(data));
-              if (header &&
-                  header->type == proto::mqtt::PacketType::kConnack &&
-                  data.size() >= header->header_size + 2) {
-                const auto code = data[header->header_size + 1];
-                *collected += "MQTT Connection Code:" + std::to_string(code);
-              }
-              break;
-            }
-            case proto::Protocol::kAmqp: {
-              std::size_t consumed = 0;
-              const auto frame = proto::amqp::decode_frame(
-                  std::span<const std::uint8_t>(data), &consumed);
-              if (frame) {
-                const auto start = proto::amqp::decode_start(frame->payload);
-                if (start) {
-                  *collected += "Product: " + start->product +
-                                " Version: " + start->version +
-                                " Mechanisms:";
-                  for (const auto& mechanism : start->mechanisms) {
-                    *collected += " " + mechanism;
-                  }
-                }
-              }
-              break;
-            }
-            default:
-              *collected += util::to_string(data);
-              break;
-          }
-        };
-
-        // Resolve the probe at the end of the banner window.
-        const net::ConnKey key{conn->local_port(), conn->remote_addr(),
-                               conn->remote_port()};
-        sim().after_fixed(sweep->config.banner_wait,
-                          [this, sweep, outcome, target, port, collected, key] {
-                      net::TcpConnection* live = tcp().lookup(key);
-                      if (live != nullptr) live->abort();
-                      ScanRecord record;
-                      record.host = target;
-                      record.port = port;
-                      record.protocol = sweep->config.protocol;
-                      record.banner = *collected;
-                      record.when = sim().now();
-                      store(*sweep, std::move(record));
-                      port_resolved(sweep, outcome);
-                    });
-      },
-      sweep->config.connect_timeout);
+  // Resolve the probe at the end of the banner window.
+  const net::ConnKey key{conn->local_port(), conn->remote_addr(),
+                         conn->remote_port()};
+  sim().after_fixed(sweep.config.banner_wait, [this, slot, collected, key] {
+    net::TcpConnection* live = tcp().lookup(key);
+    if (live != nullptr) live->abort();
+    const PortProbe& resolved = port_probes_[slot];
+    ScanRecord record;
+    record.host = resolved.target;
+    record.port = resolved.port;
+    record.protocol = resolved.sweep->config.protocol;
+    record.banner = *collected;
+    record.when = sim().now();
+    store(*resolved.sweep, std::move(record));
+    port_resolved(slot);
+  });
 }
 
 void Scanner::send_udp_stimulus(Sweep& sweep, util::Ipv4Addr target,
@@ -402,14 +414,16 @@ void Scanner::probe_udp(std::shared_ptr<Sweep> sweep, util::Ipv4Addr target,
       if (attempt < sweep->config.max_attempts) {
         // UDP gives no refusal signal, so silence is retried like a TCP
         // timeout (re-sending the discovery stimulus, not the follow-up).
-        const obs::TraceContext trace_context(probe_trace_id);
-        schedule_retry(sweep, target, port, attempt,
-                       [this, sweep, target, port, attempt] {
-                         probe_udp(sweep, target, port, attempt + 1);
-                       });
+        sim().after(note_retry(*sweep, target, port, attempt),
+                    [this, sweep, target, port, attempt, probe_trace_id] {
+                      // Re-sent under the original probe's causal id, as
+                      // a TCP retry is.
+                      const obs::TraceContext trace_context(probe_trace_id);
+                      probe_udp(sweep, target, port, attempt + 1);
+                    });
         return;
       }
-      resolve_target(sweep, /*responsive=*/false, /*refused=*/false);
+      resolve_target(*sweep, /*responsive=*/false, /*refused=*/false);
       return;
     }
 
@@ -475,7 +489,7 @@ void Scanner::probe_udp(std::shared_ptr<Sweep> sweep, util::Ipv4Addr target,
                       record.banner = std::move(full);
                       record.when = sim().now();
                       store(*sweep, std::move(record));
-                      resolve_target(sweep, /*responsive=*/true,
+                      resolve_target(*sweep, /*responsive=*/true,
                                      /*refused=*/false);
                     });
         return;
@@ -488,7 +502,7 @@ void Scanner::probe_udp(std::shared_ptr<Sweep> sweep, util::Ipv4Addr target,
       record.banner = std::move(banner);
       record.when = sim().now();
       store(*sweep, std::move(record));
-      resolve_target(sweep, /*responsive=*/true, /*refused=*/false);
+      resolve_target(*sweep, /*responsive=*/true, /*refused=*/false);
       return;
     }
 
@@ -500,7 +514,7 @@ void Scanner::probe_udp(std::shared_ptr<Sweep> sweep, util::Ipv4Addr target,
     record.banner = std::move(raw);
     record.when = sim().now();
     store(*sweep, std::move(record));
-    resolve_target(sweep, /*responsive=*/true, /*refused=*/false);
+    resolve_target(*sweep, /*responsive=*/true, /*refused=*/false);
   });
 }
 
@@ -511,12 +525,12 @@ void Scanner::store(Sweep& sweep, ScanRecord record) {
   db_->add(std::move(record));
 }
 
-void Scanner::finish_probe(std::shared_ptr<Sweep> sweep) {
-  if (sweep->outstanding > 0) --sweep->outstanding;
-  if (sweep->exhausted && sweep->outstanding == 0 && !sweep->finished) {
-    sweep->finished = true;
-    if (sweep->udp_port != 0) udp().unbind(sweep->udp_port);
-    if (sweep->done) sweep->done();
+void Scanner::finish_probe(Sweep& sweep) {
+  if (sweep.outstanding > 0) --sweep.outstanding;
+  if (sweep.exhausted && sweep.outstanding == 0 && !sweep.finished) {
+    sweep.finished = true;
+    if (sweep.udp_port != 0) udp().unbind(sweep.udp_port);
+    if (sweep.done) sweep.done();
   }
 }
 

@@ -58,6 +58,19 @@ class Scanner : public net::Host {
 
   std::uint64_t probes_sent() const { return probes_sent_; }
 
+  // Occupancy of the TCP probe state tables: slots ever allocated and slots
+  // on the free list. Once every sweep has drained, each slot is free.
+  struct SlotUsage {
+    std::size_t port_probes = 0;
+    std::size_t free_port_probes = 0;
+    std::size_t outcomes = 0;
+    std::size_t free_outcomes = 0;
+  };
+  SlotUsage slot_usage() const {
+    return {port_probes_.size(), port_probes_.free_count(), outcomes_.size(),
+            outcomes_.free_count()};
+  }
+
  private:
   struct Sweep;
   // Aggregates one target's per-port fates (multi-port protocols probe two
@@ -68,36 +81,73 @@ class Scanner : public net::Host {
     bool responsive = false;
     bool refused = false;
   };
+  // One TCP port of one probed target, from its first connect until the
+  // port resolves; a timed-out attempt that will be retried keeps its slot.
+  struct PortProbe {
+    std::shared_ptr<Sweep> sweep;
+    std::uint32_t outcome = 0;  // slot in outcomes_
+    util::Ipv4Addr target;
+    std::uint16_t port = 0;
+    std::uint32_t attempt = 1;
+    std::uint64_t trace_id = 0;  // the probe's causal id
+  };
+  // A dense vector with a free list. Callbacks name a slot by index, so a
+  // probe in flight costs no allocation once the table has grown to the
+  // sweep's peak concurrency. A released slot is reset to T{}.
+  template <typename T>
+  class SlotTable {
+   public:
+    std::uint32_t acquire() {
+      if (free_.empty()) {
+        slots_.emplace_back();
+        return static_cast<std::uint32_t>(slots_.size() - 1);
+      }
+      const std::uint32_t slot = free_.back();
+      free_.pop_back();
+      return slot;
+    }
+    void release(std::uint32_t slot) {
+      slots_[slot] = T{};
+      free_.push_back(slot);
+    }
+    // Valid until the next acquire().
+    T& operator[](std::uint32_t slot) { return slots_[slot]; }
+    std::size_t size() const { return slots_.size(); }
+    std::size_t free_count() const { return free_.size(); }
+
+   private:
+    std::vector<T> slots_;
+    std::vector<std::uint32_t> free_;
+  };
 
   std::uint16_t allocate_udp_source_port(std::uint64_t seed);
   void pump(std::shared_ptr<Sweep> sweep);
-  void probe(std::shared_ptr<Sweep> sweep, util::Ipv4Addr target);
+  void probe(const std::shared_ptr<Sweep>& sweep, util::Ipv4Addr target);
   // Single point every resolved probe result funnels through: updates the
   // obs hit-rate counters and appends to the scan DB.
   void store(Sweep& sweep, ScanRecord record);
-  void probe_tcp(std::shared_ptr<Sweep> sweep,
-                 std::shared_ptr<TargetOutcome> outcome, util::Ipv4Addr target,
-                 std::uint16_t port, std::uint32_t attempt);
+  // Opens (or re-opens, on a retry) the connection of port probe `slot`.
+  void probe_tcp(std::uint32_t slot);
+  void on_connect(std::uint32_t slot, net::TcpConnection* conn,
+                  net::ConnectOutcome result);
   void probe_udp(std::shared_ptr<Sweep> sweep, util::Ipv4Addr target,
                  std::uint16_t port, std::uint32_t attempt);
   void send_udp_stimulus(Sweep& sweep, util::Ipv4Addr target,
                          std::uint16_t port);
-  // Counts a retry and re-runs `resend` after the deterministic backoff,
-  // re-publishing the probe's original causal id.
-  void schedule_retry(std::shared_ptr<Sweep> sweep, util::Ipv4Addr target,
-                      std::uint16_t port, std::uint32_t attempt,
-                      std::function<void()> resend);
-  // Port-level completion: folds the port's fate into the target outcome
-  // and resolves the target when its last port reports.
-  void port_resolved(std::shared_ptr<Sweep> sweep,
-                     std::shared_ptr<TargetOutcome> outcome);
+  // Counts a retry of `attempt` and returns its deterministic backoff.
+  sim::Duration note_retry(const Sweep& sweep, util::Ipv4Addr target,
+                           std::uint16_t port, std::uint32_t attempt);
+  // Port-level completion: frees the port probe, folds its fate into the
+  // target outcome and resolves the target when its last port reports.
+  void port_resolved(std::uint32_t slot);
   // Target-level completion: books exactly one outcome per probed target.
-  void resolve_target(std::shared_ptr<Sweep> sweep, bool responsive,
-                      bool refused);
-  void finish_probe(std::shared_ptr<Sweep> sweep);
+  void resolve_target(Sweep& sweep, bool responsive, bool refused);
+  void finish_probe(Sweep& sweep);
 
   ScanDb* db_;
   std::uint64_t probes_sent_ = 0;
+  SlotTable<PortProbe> port_probes_;
+  SlotTable<TargetOutcome> outcomes_;
 };
 
 }  // namespace ofh::scanner

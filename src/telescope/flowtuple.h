@@ -32,7 +32,8 @@ struct FlowTuple {
   bool is_masscan = false;
 };
 
-// Maps a destination port to the IoT protocol the paper tracks, if any.
+// Maps a destination port to the IoT protocol the paper tracks, if any: the
+// ports proto::protocol_ports lists for the six scanned protocols.
 std::optional<proto::Protocol> protocol_for_port(std::uint16_t port);
 
 }  // namespace ofh::telescope

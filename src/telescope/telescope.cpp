@@ -1,6 +1,7 @@
 #include "telescope/telescope.h"
 
 #include <algorithm>
+#include <array>
 #include <iterator>
 #include <limits>
 #include <stdexcept>
@@ -41,19 +42,21 @@ std::vector<util::Ipv4Addr> to_addresses(
 }  // namespace
 
 std::optional<proto::Protocol> protocol_for_port(std::uint16_t port) {
-  switch (port) {
-    case 23:
-    case 2323:
-      return proto::Protocol::kTelnet;
-    case 1883: return proto::Protocol::kMqtt;
-    case 5683: return proto::Protocol::kCoap;
-    case 5672: return proto::Protocol::kAmqp;
-    case 5222:
-    case 5269:
-      return proto::Protocol::kXmpp;
-    case 1900: return proto::Protocol::kUpnp;
-    default: return std::nullopt;
-  }
+  // Destination port -> 1 + the scanned protocol it belongs to, 0 for none,
+  // built once from proto::protocol_ports: one indexed load per packet.
+  static const std::array<std::uint8_t, 65536> kByPort = [] {
+    std::array<std::uint8_t, 65536> by_port{};
+    for (const auto protocol : proto::scanned_protocols()) {
+      for (const auto scanned : proto::protocol_ports(protocol)) {
+        by_port[scanned] = static_cast<std::uint8_t>(
+            static_cast<std::uint8_t>(protocol) + 1);
+      }
+    }
+    return by_port;
+  }();
+  const std::uint8_t entry = kByPort[port];
+  if (entry == 0) return std::nullopt;
+  return static_cast<proto::Protocol>(entry - 1);
 }
 
 void Telescope::observe(const net::Packet& packet, sim::Time when) {

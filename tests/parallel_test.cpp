@@ -8,6 +8,7 @@
 #include <functional>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -63,6 +64,55 @@ TEST(ParallelRunner, ResultsAreInJobIndexOrderForAnyThreadCount) {
     ASSERT_EQ(results.size(), 16u) << threads;
     for (int i = 0; i < 16; ++i) EXPECT_EQ(results[i], i * 7) << threads;
   }
+}
+
+TEST(ParallelRunner, LongestFirstOrderIsDescendingCostThenIndex) {
+  using Order = std::vector<std::size_t>;
+  // The scan's six sweeps: the two-port Telnet (2) and XMPP (5) go first.
+  EXPECT_EQ(sim::longest_first_order(
+                std::vector<std::uint64_t>{1, 1, 2, 1, 1, 2}),
+            (Order{2, 5, 0, 1, 3, 4}));
+  EXPECT_EQ(sim::longest_first_order(std::vector<std::uint64_t>{1, 2, 3}),
+            (Order{2, 1, 0}));
+  EXPECT_EQ(sim::longest_first_order(std::vector<std::uint64_t>{7, 7, 7}),
+            (Order{0, 1, 2}));
+  EXPECT_EQ(sim::longest_first_order({}), Order{});
+}
+
+TEST(ParallelRunner, CostsThatReverseJobOrderKeepResultsInJobIndexOrder) {
+  for (const unsigned threads : {1u, 2u, 8u}) {
+    std::vector<std::function<int()>> jobs;
+    std::vector<std::uint64_t> costs;
+    for (int i = 0; i < 16; ++i) {
+      jobs.emplace_back([i] { return i * 7; });
+      costs.push_back(static_cast<std::uint64_t>(i));  // last job first
+    }
+    const auto results =
+        sim::ParallelRunner(threads).run(std::move(jobs), costs);
+    ASSERT_EQ(results.size(), 16u) << threads;
+    for (int i = 0; i < 16; ++i) EXPECT_EQ(results[i], i * 7) << threads;
+  }
+}
+
+TEST(ParallelRunner, OneThreadRunsJobsInIndexOrderWhateverTheCosts) {
+  std::vector<int> ran;
+  std::vector<std::function<int()>> jobs;
+  for (int i = 0; i < 4; ++i) {
+    jobs.emplace_back([&ran, i] {
+      ran.push_back(i);
+      return i;
+    });
+  }
+  const std::vector<std::uint64_t> costs = {1, 2, 3, 4};
+  sim::ParallelRunner(1).run(std::move(jobs), costs);
+  EXPECT_EQ(ran, (std::vector<int>{0, 1, 2, 3}));
+}
+
+TEST(ParallelRunner, RejectsACostCountThatDoesNotMatchTheJobs) {
+  std::vector<std::function<int()>> jobs(3, [] { return 0; });
+  const std::vector<std::uint64_t> costs = {1, 2};
+  EXPECT_THROW(sim::ParallelRunner(2).run(std::move(jobs), costs),
+               std::invalid_argument);
 }
 
 TEST(ParallelRunner, ShardSeedsAreDistinctAndDecorrelated) {

@@ -537,10 +537,12 @@ TEST(S7Codec, RejectsWrongTpktVersion) {
 // ---------------------------------------------------------------- service
 
 TEST(Service, ProtocolPorts) {
-  EXPECT_EQ(protocol_ports(Protocol::kTelnet),
-            (std::vector<std::uint16_t>{23, 2323}));
-  EXPECT_EQ(protocol_ports(Protocol::kXmpp),
-            (std::vector<std::uint16_t>{5222, 5269}));
+  const auto ports = [](Protocol protocol) {
+    const auto view = protocol_ports(protocol);
+    return std::vector<std::uint16_t>(view.begin(), view.end());
+  };
+  EXPECT_EQ(ports(Protocol::kTelnet), (std::vector<std::uint16_t>{23, 2323}));
+  EXPECT_EQ(ports(Protocol::kXmpp), (std::vector<std::uint16_t>{5222, 5269}));
   EXPECT_EQ(default_port(Protocol::kMqtt), 1883);
   EXPECT_TRUE(is_udp(Protocol::kCoap));
   EXPECT_TRUE(is_udp(Protocol::kUpnp));

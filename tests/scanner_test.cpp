@@ -2,10 +2,13 @@
 // collection per protocol, blocklists and UDP probing.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
+#include <vector>
 
 #include "devices/device.h"
 #include "honeynet/honeypot.h"
+#include "net/faults.h"
 #include "scanner/permutation.h"
 #include "scanner/scanner.h"
 #include "test_helpers.h"
@@ -379,6 +382,73 @@ TEST_F(ScannerTest, SequentialSweepsAccumulateInOneDb) {
   EXPECT_EQ(db_.unique_hosts(proto::Protocol::kTelnet), 1u);
   EXPECT_EQ(db_.unique_hosts(proto::Protocol::kMqtt), 1u);
   EXPECT_GT(db_.probes_sent(), 0u);
+}
+
+// TCP probe state lives in two slot tables: one outcome per target, one
+// port probe per (target, port), kept across retries. A lossy two-port
+// sweep must return every slot to its free list, and a later sweep must
+// reuse the slots, cleared, without growing either table.
+TEST_F(ScannerTest, LossyTelnetSweepFreesAndReusesEverySlot) {
+  net::FaultSchedule lossy;
+  lossy.uniform_loss = 0.3;
+  fabric_.set_fault_schedule(lossy);
+  // Responsive targets (Telnet devices) and refused ones (MQTT devices
+  // answer both Telnet ports with RST), so reused slots carry both flags.
+  std::vector<std::unique_ptr<devices::Device>> hosts;
+  for (std::uint8_t i = 1; i <= 60; ++i) {
+    const bool telnet = i <= 40;
+    hosts.push_back(std::make_unique<devices::Device>(make_spec(
+        Ipv4Addr(10, 30, 0, i),
+        telnet ? proto::Protocol::kTelnet : proto::Protocol::kMqtt,
+        telnet ? devices::Misconfig::kTelnetNoAuth
+               : devices::Misconfig::kMqttNoAuth)));
+    hosts.back()->attach(fabric_);
+  }
+
+  // One batch issues the whole /24 before any event runs, so each sweep's
+  // peak is exactly 256 outcomes and 512 port probes, whatever is lost.
+  const auto run_sweep = [this](const char* target) {
+    ScanConfig config;
+    config.protocol = proto::Protocol::kTelnet;
+    config.targets = {*util::Cidr::parse(target)};
+    config.batch_size = 256;
+    config.max_attempts = 3;
+    bool done = false;
+    scanner_.start(config, [&done] { done = true; });
+    while (!done && sim_.step()) {
+    }
+    EXPECT_TRUE(done);
+    run(sim::minutes(1));  // drain in-flight teardown
+  };
+
+  run_sweep("10.30.0.0/24");
+  EXPECT_EQ(db_.probes_sent(), 256u);
+  EXPECT_EQ(db_.probes_sent(),
+            db_.responsive() + db_.refused() + db_.unresolved());
+  EXPECT_GT(db_.retries(), 0u);
+  EXPECT_GT(db_.responsive(), 0u);
+  EXPECT_GT(db_.refused(), 0u);
+  const Scanner::SlotUsage first = scanner_.slot_usage();
+  EXPECT_EQ(first.port_probes, 512u);
+  EXPECT_EQ(first.outcomes, 256u);
+  EXPECT_EQ(first.free_port_probes, first.port_probes);
+  EXPECT_EQ(first.free_outcomes, first.outcomes);
+
+  // Nothing listens in the second /24: every target must end unresolved,
+  // so a reused outcome slot that kept a flag would show up here.
+  const std::uint64_t responsive = db_.responsive();
+  const std::uint64_t refused = db_.refused();
+  const std::uint64_t unresolved = db_.unresolved();
+  run_sweep("10.31.0.0/24");
+  EXPECT_EQ(db_.probes_sent(), 512u);
+  EXPECT_EQ(db_.responsive(), responsive);
+  EXPECT_EQ(db_.refused(), refused);
+  EXPECT_EQ(db_.unresolved(), unresolved + 256);
+  const Scanner::SlotUsage second = scanner_.slot_usage();
+  EXPECT_EQ(second.port_probes, first.port_probes);
+  EXPECT_EQ(second.outcomes, first.outcomes);
+  EXPECT_EQ(second.free_port_probes, second.port_probes);
+  EXPECT_EQ(second.free_outcomes, second.outcomes);
 }
 
 }  // namespace

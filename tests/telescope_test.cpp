@@ -41,6 +41,32 @@ TEST(ProtocolForPort, MapsIotPorts) {
   EXPECT_FALSE(protocol_for_port(0));
 }
 
+// The telescope's port map and the scanner's port lists are one table: every
+// port of every scanned protocol maps back to that protocol, and the ports
+// of the honeypot-only protocols map to nothing.
+TEST(ProtocolForPort, EveryScannedPortMapsBackToItsProtocol) {
+  std::size_t mapped = 0;
+  for (const auto protocol : proto::scanned_protocols()) {
+    for (const auto port : proto::protocol_ports(protocol)) {
+      EXPECT_EQ(protocol_for_port(port), protocol) << port;
+      ++mapped;
+    }
+  }
+  EXPECT_EQ(mapped, 8u);
+  for (const auto protocol : {proto::Protocol::kSsh, proto::Protocol::kHttp,
+                              proto::Protocol::kFtp, proto::Protocol::kSmb,
+                              proto::Protocol::kModbus, proto::Protocol::kS7}) {
+    for (const auto port : proto::protocol_ports(protocol)) {
+      EXPECT_FALSE(protocol_for_port(port)) << port;
+    }
+  }
+  std::size_t tracked = 0;
+  for (std::uint32_t port = 0; port <= 0xffff; ++port) {
+    if (protocol_for_port(static_cast<std::uint16_t>(port))) ++tracked;
+  }
+  EXPECT_EQ(tracked, mapped);
+}
+
 TEST(Telescope, AggregatesRepeatedPacketsIntoOneTuplePerMinute) {
   Telescope telescope(*util::Cidr::parse("44.0.0.0/8"));
   const auto packet = syn(Ipv4Addr(1, 2, 3, 4), Ipv4Addr(44, 0, 0, 1), 23);
